@@ -17,6 +17,7 @@ import pathlib
 
 import pytest
 
+from repro.experiments import table_filename
 from repro.workloads.registry import validate_scale
 
 #: Workload footprint scale used by all benchmarks.  Rejects garbage
@@ -31,9 +32,8 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 def save_result(result) -> None:
     """Write an ExperimentResult's table under results/."""
     RESULTS_DIR.mkdir(exist_ok=True)
-    filename = (result.name.lower().replace(":", "")
-                .replace(" ", "_") + ".txt")
-    (RESULTS_DIR / filename).write_text(result.to_table() + "\n")
+    (RESULTS_DIR / table_filename(result.name)).write_text(
+        result.to_table() + "\n")
 
 
 def run_once(benchmark, runner, **kwargs):

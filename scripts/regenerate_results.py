@@ -24,6 +24,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.cli import EXPERIMENTS  # noqa: E402
+from repro.experiments import table_filename  # noqa: E402
 from repro.sweep import (  # noqa: E402
     DEFAULT_CACHE_DIR,
     RunCache,
@@ -57,7 +58,8 @@ def main() -> int:
         for name in sorted(EXPERIMENTS):
             start = time.time()
             result = EXPERIMENTS[name](args.scale)
-            (args.out / f"{name}.txt").write_text(result.to_table() + "\n")
+            (args.out / table_filename(result.name)).write_text(
+                result.to_table() + "\n")
             print(f"{name:20s} {time.time() - start:6.1f}s")
 
         if args.headline:
@@ -66,7 +68,7 @@ def main() -> int:
             for name in HEADLINE:
                 start = time.time()
                 result = EXPERIMENTS[name](1.0)
-                (headline_dir / f"{name}.txt").write_text(
+                (headline_dir / table_filename(result.name)).write_text(
                     result.to_table() + "\n"
                 )
                 print(f"{name:20s} (scale 1.0) "

@@ -495,7 +495,6 @@ class UvmDriver:
             dirty = set(ctx.page_table.dirty_pages(unit.pages))
             for page in unit.pages:
                 ctx.page_table.invalidate(page)
-                self.engine.tlb_shootdown(page)
                 stats.allocation(
                     ctx.allocation_name_of_page(page)
                 ).pages_evicted += 1
@@ -525,9 +524,12 @@ class UvmDriver:
                     ctx.frames.release(1, transfer.end_ns)
                 stats.pages_written_back += len(dirty)
                 written_back += len(dirty)
+        # One shootdown for the whole plan; the unit loop above reads no
+        # TLB or L2 state, so the result is the same as one per page.
+        evicted_pages = plan.all_pages()
+        self.engine.tlb_shootdown(evicted_pages)
         # Observation hooks (no-ops for the built-ins): the fully applied
         # plan, pages now invalid.  Combined policies get the event once.
-        evicted_pages = plan.all_pages()
         self.eviction.on_evicted(evicted_pages, ctx)
         if self.prefetcher is not self.eviction:
             self.prefetcher.on_evicted(evicted_pages, ctx)
@@ -583,11 +585,11 @@ class UvmDriver:
         dirty = set(ctx.page_table.dirty_pages(resident))
         for page in resident:
             ctx.page_table.invalidate(page)
-            self.engine.tlb_shootdown(page)
             self.eviction.on_invalidated_externally(page, ctx)
             stats.allocation(
                 ctx.allocation_name_of_page(page)
             ).pages_evicted += 1
+        self.engine.tlb_shootdown(resident)
         ctx.adjust_trees_for_pages(resident, -1)
         stats.pages_evicted += len(resident)
         # Dirty data rides the write channel in contiguous runs (frames

@@ -272,12 +272,20 @@ class Simulator:
             sm.time_ns = max(sm.time_ns, now_ns)
             self._schedule_sm(sm, sm.time_ns)
 
-    def tlb_shootdown(self, page: int) -> None:
-        """Invalidate a page's translation (all SMs) and its L2 lines."""
+    def tlb_shootdown(self, pages) -> None:
+        """Invalidate the translations of ``pages`` on every SM, and their
+        L2 lines.
+
+        The driver calls this once per eviction plan (and once per host
+        access range), so each SM's TLB is probed once per plan rather
+        than once per page.
+        """
+        pages = set(pages)
         for sm in self.sms:
-            sm.tlb.invalidate(page)
+            sm.tlb.invalidate_many(pages)
         if self.l2 is not None:
-            self.l2.invalidate(page)
+            for page in pages:
+                self.l2.invalidate(page)
 
     # ---------------------------------------------------------------- SM engine
     def _schedule_sm(self, sm: StreamingMultiprocessor,

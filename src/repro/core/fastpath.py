@@ -216,6 +216,13 @@ class MaskedTlb(Tlb):
             self.mask.clear(page)
         return hit
 
+    def invalidate_many(self, pages) -> set[int]:
+        hits = super().invalidate_many(pages)
+        clear = self.mask.clear
+        for page in hits:
+            clear(page)
+        return hits
+
     def flush(self) -> None:
         super().flush()
         self.mask.clear_all()
@@ -266,6 +273,9 @@ class FastSimulator(Simulator):
         self._pend_pages: list[np.ndarray] = []
         self._pend_times: list[np.ndarray] = []
         self._pend_writes: list[np.ndarray | None] = []
+        #: True once a window was deferred since the last flush; most
+        #: flush calls (one per driver event) find nothing to apply.
+        self._pending = False
         #: (budget, n_ready) -> (lane % n_ready, lane // n_ready) index
         #: patterns for the rotation gather of :meth:`_uniform_window`.
         self._rot_patterns: dict[tuple[int, int], tuple] = {}
@@ -284,8 +294,9 @@ class FastSimulator(Simulator):
         long all-hit phase costs one numpy dedup plus O(working set)
         python work instead of O(accesses).
         """
-        if not self._fast_issue:
+        if not self._pending:
             return
+        self._pending = False
         pend = self._pend_pages
         if pend:
             if len(pend) == 1:
@@ -441,7 +452,9 @@ class FastSimulator(Simulator):
         changes; any change either alters ``len(warps)`` or replaces the
         list's last element with a freshly constructed :class:`Warp`
         (blocks are only ever appended, and reaping shrinks the list),
-        so ``(len, first, last)`` identity is a sound cache key.
+        so ``(len, first, last)`` identity is a sound cache key.  (Keying
+        on the warp list itself would keep every reaped warp, and its
+        access stream, alive until the next window.)
         """
         n = len(warps)
         cache = sm.fast_cache
@@ -534,6 +547,7 @@ class FastSimulator(Simulator):
         self._pend_times.append(times[1:])
         self._pend_writes.append(writes if writes.any() else None)
         tlb.pend.append(pages)
+        self._pending = True
 
         for j, pos in enumerate(rot):
             warp = warps[pos]
@@ -574,6 +588,7 @@ class FastSimulator(Simulator):
         else:
             self._pend_writes.append(None)
         tlb.pend.append(pages_arr)
+        self._pending = True
 
         # Warp cursors, DONE transitions, round-robin index.
         counts = np.bincount(np.fromiter(slot_pos, np.int64, total),

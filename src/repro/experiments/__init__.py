@@ -13,6 +13,7 @@ from .common import (
     resolve_workload_names,
     run_settings,
     run_suite_setting,
+    table_filename,
 )
 
 __all__ = [
@@ -23,4 +24,5 @@ __all__ = [
     "resolve_workload_names",
     "run_settings",
     "run_suite_setting",
+    "table_filename",
 ]

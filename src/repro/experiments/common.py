@@ -40,6 +40,12 @@ COMBINATIONS: list[tuple[str, str, str, bool]] = [
 ]
 
 
+def table_filename(name: str) -> str:
+    """File name of an experiment's table under ``results/``, derived from
+    :attr:`ExperimentResult.name` (``"Figure 14"`` -> ``figure_14.txt``)."""
+    return name.lower().replace(":", "").replace(" ", "_") + ".txt"
+
+
 @dataclass
 class ExperimentResult:
     """Rows of one experiment plus the metadata to print them."""

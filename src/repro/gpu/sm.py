@@ -39,6 +39,9 @@ class StreamingMultiprocessor:
         #: True when a step event is queued or executing for this SM.
         self.scheduled = False
         self._blocks: list[_ResidentBlock] = []
+        #: Flat warp ring over ``_blocks``; replaced (never mutated in
+        #: place) whenever the resident block set changes.
+        self._warps: list[Warp] = []
         self._rr_index = 0
 
     # --- residency ---------------------------------------------------------
@@ -49,12 +52,14 @@ class StreamingMultiprocessor:
         for warp in block.warps:
             warp.sm = self
         self._blocks.append(block)
+        self._warps = self._warps + block.warps
 
     def reap_finished_blocks(self) -> list[int]:
         """Remove completed thread blocks; returns their ids."""
         finished = [b.tb_id for b in self._blocks if b.done]
         if finished:
             self._blocks = [b for b in self._blocks if not b.done]
+            self._warps = [w for b in self._blocks for w in b.warps]
             self._rr_index = 0
         return finished
 
@@ -64,16 +69,21 @@ class StreamingMultiprocessor:
 
     @property
     def idle(self) -> bool:
-        """True when no warp can issue (all blocked or done)."""
-        return self.next_ready_warp() is None
+        """True when no warp can issue (all blocked or done).
+
+        A pure check: unlike ``next_ready_warp`` it leaves the
+        round-robin index alone.
+        """
+        return not any(w.state is WarpState.READY for w in self._warps)
 
     # --- scheduling ----------------------------------------------------------
     def all_warps(self) -> list[Warp]:
-        return [w for b in self._blocks for w in b.warps]
+        """Resident warps in block order (the cached ring; do not mutate)."""
+        return self._warps
 
     def next_ready_warp(self) -> Warp | None:
         """Round-robin over READY warps across resident blocks."""
-        warps = self.all_warps()
+        warps = self._warps
         if not warps:
             return None
         n = len(warps)

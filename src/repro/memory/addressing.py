@@ -25,6 +25,16 @@ class AddressSpace:
     block_size: int = constants.BASIC_BLOCK_SIZE
     large_page_size: int = constants.LARGE_PAGE_SIZE
 
+    def __post_init__(self) -> None:
+        # Plain attributes, not fields: the index math below runs per
+        # access, and these ratios never change for a frozen geometry.
+        set_ = object.__setattr__
+        set_(self, "pages_per_block", self.block_size // self.page_size)
+        set_(self, "blocks_per_large_page",
+             self.large_page_size // self.block_size)
+        set_(self, "pages_per_large_page",
+             self.large_page_size // self.page_size)
+
     # --- byte address -> index ---------------------------------------------
     def page_of(self, addr: int) -> int:
         """Global 4 KB page index containing byte address ``addr``."""
@@ -39,18 +49,6 @@ class AddressSpace:
         return addr // self.large_page_size
 
     # --- index conversions ---------------------------------------------------
-    @property
-    def pages_per_block(self) -> int:
-        return self.block_size // self.page_size
-
-    @property
-    def blocks_per_large_page(self) -> int:
-        return self.large_page_size // self.block_size
-
-    @property
-    def pages_per_large_page(self) -> int:
-        return self.large_page_size // self.page_size
-
     def block_of_page(self, page: int) -> int:
         """Basic-block index containing page index ``page``."""
         return page // self.pages_per_block

@@ -140,10 +140,23 @@ class HierarchicalLRU:
             self._page_count += 1
 
     def touch(self, page: int) -> None:
-        """Refresh a resident page's position on access."""
-        if page not in self:
-            raise PolicyError(f"page {page} not in hierarchical LRU")
-        self.insert(page)
+        """Refresh a resident page's position on access.
+
+        Same order as ``insert`` of a present page, in one walk: chunk,
+        block and page each move to the MRU end.
+        """
+        space = self.space
+        chunk_id = page // space.pages_per_large_page
+        block_id = page // space.pages_per_block
+        try:
+            chunk = self._chunks[chunk_id]
+            chunk.blocks[block_id].move_to_end(page)
+        except KeyError:
+            raise PolicyError(
+                f"page {page} not in hierarchical LRU"
+            ) from None
+        chunk.blocks.move_to_end(block_id)
+        self._chunks.move_to_end(chunk_id)
 
     def remove(self, page: int) -> None:
         """Drop one page, pruning empty blocks/chunks."""

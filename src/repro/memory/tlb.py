@@ -3,7 +3,8 @@
 The paper models a fully associative TLB with a single-cycle lookup
 (Section 6.1, after Pichai et al.); misses trigger a 100-cycle page-table
 walk by the GMMU.  Entries are invalidated (a shootdown) when the driver
-evicts the page.
+evicts the page; one shootdown covers a whole eviction plan, and each TLB
+answers it with a single set intersection (:meth:`Tlb.invalidate_many`).
 """
 
 from __future__ import annotations
@@ -61,6 +62,19 @@ class Tlb:
             del self._entries[page]
             return True
         return False
+
+    def invalidate_many(self, pages) -> set[int]:
+        """Shoot down every cached translation of ``pages`` (a set or
+        other collection) in one probe; returns the pages that were cached.
+
+        Equivalent to ``invalidate`` per page: deleting entries leaves the
+        survivors' LRU order alone, and no hit/miss counter moves.
+        """
+        entries = self._entries
+        hits = entries.keys() & pages
+        for page in hits:
+            del entries[page]
+        return hits
 
     def flush(self) -> None:
         """Drop every cached translation."""

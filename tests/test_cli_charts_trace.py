@@ -1,6 +1,8 @@
 """Tests for the CLI, ASCII charts, and trace export/replay."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +10,7 @@ from repro.analysis.charts import grouped_bars, horizontal_bars
 from repro.cli import EXPERIMENTS, build_parser, main
 from repro.config import SimulatorConfig
 from repro.errors import WorkloadError
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, table_filename
 from repro.memory.allocator import ManagedAllocator
 from repro.runtime import run_workload
 from repro.workloads.base import AddressResolver
@@ -86,6 +88,79 @@ class TestCli:
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "nonexistent"])
+
+
+RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+EXPERIMENTS_SRC = Path(__file__).resolve().parent.parent / "src" / "repro" \
+    / "experiments"
+
+#: ``ExperimentResult.name`` of every registered experiment.
+EXPERIMENT_TITLES = {
+    "table1": "Table 1",
+    "fig2": "Figure 2",
+    "fig3": "Figure 3",
+    "fig4": "Figure 4",
+    "fig5": "Figure 5",
+    "fig6": "Figure 6",
+    "fig7": "Figure 7",
+    "fig9": "Figure 9",
+    "fig10": "Figure 10",
+    "fig11": "Figure 11",
+    "fig12": "Figure 12",
+    "fig13": "Figure 13",
+    "fig14": "Figure 14",
+    "fig15": "Figure 15",
+    "fig16": "Figure 16",
+    "ablation-batching": "Ablation: fault batching",
+    "ablation-threshold": "Ablation: TBN threshold",
+    "ablation-lru": "Ablation: LRU insertion",
+    "ablation-walk": "Ablation: page-walk model",
+    "ablation-buffer": "Ablation: fault buffer",
+    "ablation-latency": "Ablation: fault latency",
+    "ext-adaptive": "Extension: adaptive pre-eviction",
+    "ext-autotune": "Extension: autotune",
+    "ext-colocation": "Extension: co-location",
+    "ext-learned": "Extension: learned policies",
+    "ext-resilience": "Extension: resilience",
+}
+#: Experiments that have no committed table under results/ yet.
+UNCOMMITTED_TABLES = {"ablation-latency", "ext-learned", "ext-resilience"}
+
+
+class TestResultTables:
+    """The refresh script and the benchmarks name tables the same way."""
+
+    def test_titles_cover_registry(self):
+        assert set(EXPERIMENT_TITLES) == set(EXPERIMENTS)
+        source = "".join(p.read_text()
+                         for p in EXPERIMENTS_SRC.glob("*.py"))
+        for key, title in EXPERIMENT_TITLES.items():
+            assert f'"{title}"' in source, key
+
+    def test_every_experiment_maps_to_committed_table(self):
+        committed = {p.name for p in RESULTS_DIR.glob("*.txt")}
+        for key, title in EXPERIMENT_TITLES.items():
+            filename = table_filename(title)
+            if key in UNCOMMITTED_TABLES:
+                assert filename not in committed, key
+                continue
+            assert filename in committed, key
+            first = (RESULTS_DIR / filename).read_text().splitlines()[0]
+            assert first.startswith(f"{title}: "), key
+
+    def test_refresh_script_writes_committed_names(self, tmp_path,
+                                                   monkeypatch):
+        path = RESULTS_DIR.parent / "scripts" / "regenerate_results.py"
+        spec = importlib.util.spec_from_file_location("regenerate", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "EXPERIMENTS",
+                            {"table1": EXPERIMENTS["table1"]})
+        monkeypatch.setattr("sys.argv", ["regenerate_results.py",
+                                         "--out", str(tmp_path),
+                                         "--no-cache"])
+        assert script.main() == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["table_1.txt"]
 
 
 class TestTrace:

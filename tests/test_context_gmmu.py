@@ -125,7 +125,7 @@ class _EngineStub:
     def wake_warps(self, waiters, now_ns):
         self.woken.extend(waiters)
 
-    def tlb_shootdown(self, page):
+    def tlb_shootdown(self, pages):
         pass
 
 

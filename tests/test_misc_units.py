@@ -133,8 +133,11 @@ class TestEngineDetails:
         sim = Simulator(SimulatorConfig(num_sms=3))
         for sm in sim.sms:
             sm.tlb.insert(42)
-        sim.tlb_shootdown(42)
-        assert all(42 not in sm.tlb for sm in sim.sms)
+            sm.tlb.insert(43)
+            sm.tlb.insert(44)
+        sim.tlb_shootdown([42, 44, 99])
+        assert all(42 not in sm.tlb and 44 not in sm.tlb and 43 in sm.tlb
+                   for sm in sim.sms)
 
     def test_walker_selected_from_config(self):
         from repro.memory.radix_walker import FixedWalker, RadixWalker
