@@ -83,6 +83,7 @@ from .experiments import (
     fig15_tbne_vs_2mb,
     fig16_thrashing,
     table1_pcie,
+    table_filename,
 )
 from .presets import PRESETS, preset_config
 from .runtime import UvmRuntime
@@ -553,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="open-loop arrival rate (default: 4)")
     loadgen_p.add_argument("--concurrency", type=int, default=8,
                            metavar="N",
-                           help="waiter threads polling for results "
+                           help="waiter threads long-polling for results "
                                 "(default: 8)")
     loadgen_p.add_argument("--workload", default="hotspot",
                            choices=sorted(WORKLOAD_REGISTRY))
@@ -884,7 +885,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             print()
             if args.out is not None:
                 args.out.mkdir(parents=True, exist_ok=True)
-                (args.out / f"{name}.txt").write_text(
+                (args.out / table_filename(result.name)).write_text(
                     result.to_table() + "\n")
     # Stderr on purpose: stdout must stay byte-identical across
     # --jobs/cache settings so runs can be diffed.

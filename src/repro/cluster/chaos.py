@@ -50,7 +50,6 @@ from ..config import oversubscribed
 from ..errors import ClusterError, ReproError, ServeClientError
 from ..faultinject.cluster import ClusterFaultProfile
 from ..serve.client import ServeClient
-from ..serve.queue import TERMINAL_STATES
 from ..sweep import SweepCell, execute_cell
 from ..workloads import make_workload
 from .coordinator import ClusterCoordinator, CoordinatorServer
@@ -227,28 +226,24 @@ def _wait_registered(coordinator: ClusterCoordinator, want: int,
 
 def _wait_terminal(client: ServeClient, job_ids: list[str],
                    deadline: float) -> dict[str, dict]:
-    """Poll until every id is terminal; returns id -> result payload."""
+    """Long-poll each id until terminal; returns id -> result payload.
+
+    Errors are tolerated until ``deadline`` seconds have passed (a
+    shard death surfaces as one while the coordinator fails over); each
+    id is asked at least once.
+    """
     limit = time.monotonic() + deadline
     results: dict[str, dict] = {}
-    pending = list(job_ids)
-    while pending and time.monotonic() < limit:
-        still = []
-        for job_id in pending:
+    for job_id in job_ids:
+        while True:
+            remaining = max(limit - time.monotonic(), 0.0)
             try:
-                status = client.status(job_id)
+                results[job_id] = client.result(
+                    job_id, wait=min(remaining, client.timeout / 2))
+                break
             except ServeClientError:
-                still.append(job_id)
-                continue
-            if status.get("state") in TERMINAL_STATES:
-                try:
-                    results[job_id] = client.result(job_id)
-                except ServeClientError:
-                    still.append(job_id)
-                continue
-            still.append(job_id)
-        pending = still
-        if pending:
-            time.sleep(0.05)
+                if remaining == 0.0:
+                    break
     return results
 
 

@@ -47,6 +47,7 @@ import itertools
 import signal
 import sys
 import threading
+import time
 from dataclasses import dataclass, field
 from http.server import ThreadingHTTPServer
 
@@ -66,7 +67,7 @@ from ..obs.prom import prometheus_text
 from ..serve.api import JsonRequestHandler, build_cell
 from ..serve.client import ServeClient
 from ..serve.events import ServeEventLog
-from ..serve.queue import TERMINAL_STATES
+from ..serve.queue import CANCELLED, TERMINAL_STATES
 from .registry import DEFAULT_HEARTBEAT_TIMEOUT, ShardInfo, ShardRegistry
 
 #: Heartbeat-reported queue depth at which a shard becomes a donor.
@@ -159,6 +160,9 @@ class ClusterCoordinator:
         self._client_factory = client_factory or _default_client_factory
 
         self._lock = threading.RLock()
+        #: Notified whenever a job's mapping moves or its result is
+        #: pinned; a long-poll whose shard cannot answer waits on it.
+        self._moved = threading.Condition(self._lock)
         self._jobs: dict[str, RoutedJob] = {}
         #: key -> active (non-terminal) routed job; cluster coalescing.
         self._active_by_key: dict[str, RoutedJob] = {}
@@ -311,6 +315,7 @@ class ClusterCoordinator:
                     job.shard_id = shard.id
                     job.remote_id = answer["id"]
                 job.state = answer.get("state", "queued")
+                self._moved.notify_all()
             self._m_routed.inc()
             self._event("routed", job, shard=shard.id)
             self._log(f"routed {job.id} -> {shard.id} "
@@ -331,55 +336,89 @@ class ClusterCoordinator:
         """Proxied status under the coordinator id (+ ``shard``)."""
         job = self._get(job_id)
         if job.is_terminal:
-            status = job.status_dict()
-            return status
+            return job.status_dict()
+        with self._lock:
+            where = (job.shard_id, job.remote_id)
         try:
-            shard = self.registry.get(job.shard_id)
-            remote = self._client(shard).status(job.remote_id)
+            shard = self.registry.get(where[0])
+            remote = self._client(shard).status(where[1])
         except ServeClientError as exc:
             if exc.status == 0:
-                self._note_dead(job.shard_id, reason=str(exc))
+                self._note_dead(where[0], reason=str(exc))
                 return job.status_dict()
             raise
+        if remote.get("state") == CANCELLED:
+            # Stolen off that shard: answer from the current mapping.
+            return job.status_dict()
         with self._lock:
             job.state = remote.get("state", job.state)
             job.cache_hit = remote.get("cache_hit")
         if job.state in TERMINAL_STATES:
-            self._cache_result(job)
+            self._fetch_result(job, where, 0.0)
         status = dict(remote)
         status["id"] = job.id
-        status["shard"] = job.shard_id
-        status["remote_id"] = job.remote_id
+        status["shard"] = where[0]
+        status["remote_id"] = where[1]
         return status
 
-    def _cache_result(self, job: RoutedJob) -> None:
-        """Fetch and pin a terminal job's result payload once."""
-        if job.is_terminal:
-            return
-        try:
-            shard = self.registry.get(job.shard_id)
-            payload = self._client(shard).result(job.remote_id)
-        except (ServeClientError, ClusterError):
-            return  # next poll retries; shard death triggers failover
-        with self._lock:
-            payload = dict(payload)
-            payload["id"] = job.id
-            payload["shard"] = job.shard_id
-            job.result = payload
-            job.state = payload.get("state", job.state)
-            job.cache_hit = payload.get("cache_hit", job.cache_hit)
-            if self._active_by_key.get(job.key) is job:
-                del self._active_by_key[job.key]
+    def _fetch_result(self, job: RoutedJob, where: tuple[str, str],
+                      wait: float) -> bool:
+        """Ask ``where`` (shard id, remote id) for the job's result,
+        long-polling up to ``wait`` seconds; pin a terminal answer.
 
-    def result(self, job_id: str) -> dict:
+        False means that shard cannot answer for the job: it is dead or
+        draining, or it reports ``cancelled`` because the job was
+        stolen away (only :meth:`cancel` ends a cluster job so).
+        """
+        shard_id, remote_id = where
+        try:
+            client = self._client(self.registry.get(shard_id))
+            payload = client.result(remote_id,
+                                    wait=min(wait, client.timeout / 2))
+        except ClusterError:
+            return False
+        except ServeClientError as exc:
+            if exc.status == 0:
+                self._note_dead(shard_id, reason=str(exc))
+            elif exc.status == 409:  # still active when the wait ran out
+                return True
+            elif exc.status != 503:
+                raise
+            return False
+        if payload.get("state") == CANCELLED:
+            return False
+        with self._lock:
+            if job.result is None:
+                job.result = dict(payload, id=job.id, shard=shard_id)
+                job.state = payload.get("state", job.state)
+                job.cache_hit = payload.get("cache_hit", job.cache_hit)
+                if self._active_by_key.get(job.key) is job:
+                    del self._active_by_key[job.key]
+                self._moved.notify_all()
+        return True
+
+    def result(self, job_id: str, wait: float = 0.0) -> dict:
+        """The terminal result payload, long-polling the job's shard
+        for up to ``wait`` seconds (then 409, as for any active job).
+
+        A steal or failover may move the job mid-wait, so the mapping
+        is re-read after every answer and the poll follows the job.
+        """
         job = self._get(job_id)
-        if not job.is_terminal:
-            self.status(job_id)  # refresh; caches when terminal
-        job = self._get(job_id)
-        if job.result is None:
-            raise JobStateError(
-                f"job {job.id} is {job.state}, not terminal"
-            )
+        deadline = time.monotonic() + wait
+        while job.result is None:
+            with self._lock:
+                where = (job.shard_id, job.remote_id)
+            remaining = max(deadline - time.monotonic(), 0.0)
+            if not self._fetch_result(job, where, remaining):
+                with self._moved:  # wait for the move instead of spinning
+                    self._moved.wait_for(
+                        lambda: job.result is not None
+                        or (job.shard_id, job.remote_id) != where,
+                        max(deadline - time.monotonic(), 0.0))
+            if job.result is None and time.monotonic() >= deadline:
+                raise JobStateError(
+                    f"job {job.id} is {job.state}, not terminal")
         return job.result
 
     def cancel(self, job_id: str) -> dict:
@@ -398,6 +437,7 @@ class ClusterCoordinator:
                           "shard": job.shard_id}
             if self._active_by_key.get(job.key) is job:
                 del self._active_by_key[job.key]
+            self._moved.notify_all()
         status = dict(remote)
         status["id"] = job.id
         status["shard"] = job.shard_id
@@ -534,6 +574,7 @@ class ClusterCoordinator:
                 job.remote_id = answer["id"]
                 job.state = answer.get("state", "queued")
                 job.steals += 1
+                self._moved.notify_all()
         self._m_stolen.inc()
         self._event("stolen", job, shard=donor.id,
                     detail=f"-> {receiver.id}")
@@ -738,7 +779,8 @@ def make_coordinator_handler(coordinator: ClusterCoordinator):
                     return
             if len(parts) == 4 and parts[1] == "jobs" \
                     and parts[3] == "result" and method == "GET":
-                self._send(200, coordinator.result(parts[2]))
+                self._send(200, coordinator.result(
+                    parts[2], self._wait_param()))
                 return
             raise JobNotFoundError(
                 f"no such route: {method} {self.path}"

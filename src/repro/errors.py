@@ -81,6 +81,14 @@ class JobStateError(ServeError):
     """
 
 
+class DrainingError(JobStateError):
+    """The server is draining: it admits no job and runs no queued one.
+
+    Maps to HTTP 503 with a ``Retry-After`` header — the client should
+    come back once the next server generation is up.
+    """
+
+
 class QueueFullError(ServeError):
     """The service's bounded job queue rejected a submission.
 

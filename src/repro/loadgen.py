@@ -18,7 +18,7 @@ report's ``measured`` block, which is declared volatile; the rest of
 it that way.
 
 Latency is measured client-side per submission (submit → terminal,
-polled by a waiter pool), so the quantiles are exact over the run, not
+long-polled by a waiter pool), so the quantiles are exact over the run, not
 histogram-bucketed like the server's own ``serve.service_latency_ns``.
 
 ``repro top`` (:func:`render_top`) shares this module: it renders a

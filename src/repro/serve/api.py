@@ -9,7 +9,9 @@ never as 500s.  Routes (see docs/SERVICE.md for the full reference):
 POST   /v1/jobs                     submit ``{workload, config, seed}``
 GET    /v1/jobs                     list known jobs
 GET    /v1/jobs/<id>                job status (state machine position)
-GET    /v1/jobs/<id>/result         terminal result (409 until terminal)
+GET    /v1/jobs/<id>/result         terminal result (409 until terminal);
+                                    ``?wait=<s>`` long-polls up to
+                                    :data:`MAX_RESULT_WAIT` seconds
 DELETE /v1/jobs/<id>                cancel a queued job
 GET    /v1/healthz                  liveness + drain state
 GET    /v1/metrics                  metrics snapshot incl. p50/p95/p99
@@ -35,6 +37,7 @@ from urllib.parse import parse_qs, urlsplit
 from ..config import SimulatorConfig
 from ..errors import (
     ConfigurationError,
+    DrainingError,
     InvalidJobError,
     JobNotFoundError,
     JobStateError,
@@ -50,6 +53,8 @@ from .queue import Job
 
 #: Largest accepted request body; a job spec is a few KB at most.
 MAX_BODY_BYTES = 1 << 20
+#: Longest a result request may be held open (``?wait=`` is clamped).
+MAX_RESULT_WAIT = 30.0
 
 
 def build_cell(spec: object) -> SweepCell:
@@ -171,6 +176,20 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     def _job_id(self, parts: list[str]) -> str:
         return parts[2]
 
+    def _wait_param(self) -> float:
+        """The ``?wait=`` long-poll budget in seconds (0 when absent),
+        clamped to :data:`MAX_RESULT_WAIT`."""
+        raw = (self._query.get("wait") or ["0"])[0]
+        try:
+            wait = float(raw)
+        except ValueError:
+            wait = -1.0
+        if not wait >= 0:  # negative, non-numeric or NaN
+            raise InvalidJobError(
+                f"wait must be a non-negative number of seconds, "
+                f"got {raw!r}")
+        return min(wait, MAX_RESULT_WAIT)
+
     def _dispatch(self) -> None:
         split = urlsplit(self.path)
         parts = [part for part in split.path.split("/") if part]
@@ -188,13 +207,13 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
                 headers={"Retry-After":
                          str(max(1, int(exc.retry_after)))},
             )
-        except JobStateError as exc:
-            self._send(409, error_payload(exc))
-        except NoShardAvailableError as exc:
-            # No live shard right now: temporarily unavailable, come
-            # back once one (re)joins.
+        except (DrainingError, NoShardAvailableError) as exc:
+            # Temporarily unavailable, not in conflict: come back once
+            # the next server generation is up or a shard (re)joins.
             self._send(503, error_payload(exc),
                        headers={"Retry-After": "5"})
+        except JobStateError as exc:
+            self._send(409, error_payload(exc))
         except ReproError as exc:
             self._send(400, error_payload(exc))
 
@@ -268,11 +287,8 @@ def make_handler(service) -> type[BaseHTTPRequestHandler]:
                     return
             if len(parts) == 4 and parts[1] == "jobs" \
                     and parts[3] == "result" and method == "GET":
-                job = service.queue.get(self._job_id(parts))
-                if not job.is_terminal:
-                    raise JobStateError(
-                        f"job {job.id} is {job.state}, not terminal"
-                    )
+                job = service.queue.await_terminal(
+                    self._job_id(parts), self._wait_param())
                 self._send(200, result_payload(job))
                 return
             raise JobNotFoundError(
@@ -280,15 +296,8 @@ def make_handler(service) -> type[BaseHTTPRequestHandler]:
             )
 
         def _submit(self) -> None:
-            cell = build_cell(self._read_json())
-            try:
-                job, coalesced = service.submit(cell)
-            except JobStateError as exc:
-                # A draining server is temporarily unavailable, not in
-                # conflict: tell the client to come back after restart.
-                self._send(503, error_payload(exc),
-                           headers={"Retry-After": "5"})
-                return
+            job, coalesced = service.submit(
+                build_cell(self._read_json()))
             payload = job.status_dict()
             payload["coalesced"] = coalesced
             self._send(202, payload)

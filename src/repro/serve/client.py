@@ -10,7 +10,7 @@ executing in-process::
     client = ServeClient(port=8077)
     job = client.submit({"name": "hotspot", "scale": 0.5},
                         config=config.to_dict())
-    outcome = client.wait(job["id"])
+    outcome = client.wait(job["id"])          # long-polls until terminal
     stats_dict = outcome["result"]["stats"]   # SimStats.to_json_dict()
 
 Transport errors and non-2xx answers raise
@@ -343,24 +343,36 @@ class ServeClient:
     def cancel(self, job_id: str) -> dict:
         return self._request("DELETE", f"/v1/jobs/{job_id}")
 
-    def result(self, job_id: str) -> dict:
-        """The terminal result payload (409 -> error until terminal)."""
-        return self._request("GET", f"/v1/jobs/{job_id}/result")
+    def result(self, job_id: str, wait: float = 0.0) -> dict:
+        """The terminal result payload (409 -> error until terminal).
 
-    def wait(self, job_id: str, timeout: float = 300.0,
-             poll_interval: float = 0.05) -> dict:
-        """Poll until the job is terminal; returns the result payload."""
+        With ``wait > 0`` the server holds the request until the job is
+        terminal or ``wait`` seconds (clamped server-side) have passed.
+        """
+        query = f"?wait={wait:.3f}" if wait > 0 else ""
+        return self._request("GET", f"/v1/jobs/{job_id}/result{query}")
+
+    def wait(self, job_id: str, timeout: float = 300.0) -> dict:
+        """Long-poll until the job is terminal; returns the result payload.
+
+        Each request is held for at most half the socket timeout, so the
+        server answers before the socket gives up; a 409 means the slice
+        ran out and the next one is issued.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            status = self.status(job_id)
-            if status["state"] in ("done", "failed", "cancelled"):
-                return self.result(job_id)
-            if time.monotonic() >= deadline:
-                raise ServeClientError(
-                    f"timed out after {timeout:.1f}s waiting for job "
-                    f"{job_id} (state {status['state']!r})"
-                )
-            time.sleep(poll_interval)
+            remaining = max(deadline - time.monotonic(), 0.0)
+            try:
+                return self.result(job_id,
+                                   wait=min(remaining, self.timeout / 2))
+            except ServeClientError as exc:
+                if exc.status != 409:
+                    raise
+                if time.monotonic() >= deadline:
+                    raise ServeClientError(
+                        f"timed out after {timeout:.1f}s waiting for job "
+                        f"{job_id}: {exc}", status=409,
+                        payload=exc.payload) from None
 
     # --- conveniences ------------------------------------------------------
     @staticmethod

@@ -25,7 +25,9 @@ The :class:`JobQueue` is the admission-control heart of the service:
   thundering herd of identical what-if cells costs one execution.
 * **thread-safe** — the HTTP handler threads submit/cancel while worker
   threads :meth:`take`; one condition variable serializes every state
-  change.
+  change, and every change notifies *all* its waiters, because workers
+  and long-polling result requests (:meth:`JobQueue.await_terminal`)
+  park on it side by side.
 
 Everything here is in-memory policy; persistence lives in
 :mod:`repro.serve.journal` and execution in :mod:`repro.serve.server`.
@@ -39,7 +41,12 @@ import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
-from ..errors import JobNotFoundError, JobStateError, QueueFullError
+from ..errors import (
+    DrainingError,
+    JobNotFoundError,
+    JobStateError,
+    QueueFullError,
+)
 from ..stats import FailedRun, SimStats
 from ..sweep import SweepCell
 
@@ -187,12 +194,12 @@ class JobQueue:
         An identical active cell coalesces (``coalesced=True``, the
         existing job comes back); a full queue raises
         :class:`QueueFullError`; a closed (draining) queue raises
-        :class:`JobStateError`.  ``job_id`` pins the id during journal
+        :class:`DrainingError`.  ``job_id`` pins the id during journal
         replay so clients can keep polling across a restart.
         """
         with self._cond:
             if self._closed:
-                raise JobStateError("server is draining; not accepting "
+                raise DrainingError("server is draining; not accepting "
                                     "new jobs")
             existing = self._active_by_key.get(cell.cache_key())
             if existing is not None:
@@ -210,7 +217,7 @@ class JobQueue:
             self._jobs[job.id] = job
             self._active_by_key[job.key] = job
             self._prune_history()
-            self._cond.notify()
+            self._cond.notify_all()
             return job, False
 
     def _prune_history(self) -> None:
@@ -255,7 +262,7 @@ class JobQueue:
         with self._cond:
             job.advance(QUEUED)
             self._waiting.appendleft(job)
-            self._cond.notify()
+            self._cond.notify_all()
 
     def steal(self, max_jobs: int) -> list[Job]:
         """Revoke up to ``max_jobs`` *queued* jobs for another executor.
@@ -279,6 +286,7 @@ class JobQueue:
                 job.advance(CANCELLED)
                 self._active_by_key.pop(job.key, None)
                 stolen.append(job)
+            self._cond.notify_all()
         return stolen
 
     def complete(self, job: Job, result: SimStats | FailedRun,
@@ -308,6 +316,35 @@ class JobQueue:
             job.advance(CANCELLED)  # raises JobStateError unless queued
             self._waiting.remove(job)
             self._active_by_key.pop(job.key, None)
+            self._cond.notify_all()
+            return job
+
+    def await_terminal(self, job_id: str, timeout: float) -> Job:
+        """Block up to ``timeout`` seconds until the job is terminal.
+
+        The long-poll behind ``GET /v1/jobs/<id>/result?wait=``: the
+        caller wakes as soon as the job lands.  Raises
+        :class:`JobStateError` if the job is still active when the time
+        is up, and :class:`DrainingError` as soon as a *queued* job's
+        queue is closed: that job runs in the next generation, so the
+        parked client gets an answer now instead of a dropped
+        connection when the daemon exits.
+        """
+        deadline = time.monotonic() + timeout
+        with self._cond:
+            job = self._jobs.get(job_id)
+            if job is None:
+                raise JobNotFoundError(f"no such job: {job_id}")
+            while not job.is_terminal:
+                if self._closed and job.state == QUEUED:
+                    raise DrainingError(
+                        f"server is draining; job {job.id} stays queued "
+                        "for the next generation")
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise JobStateError(
+                        f"job {job.id} is {job.state}, not terminal")
+                self._cond.wait(remaining)
             return job
 
     def jobs(self) -> list[Job]:

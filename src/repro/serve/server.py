@@ -292,14 +292,15 @@ class SimulationService:
                    worker: int | None = None) -> None:
         """Publish one job's terminal state (both backends land here).
 
-        Forgets *before* publishing the terminal state, so "job is
-        terminal" implies "journal entry gone" for every observer.  A
+        Forgets, counts, logs and traces *before* publishing the
+        terminal state, so "job is terminal" implies "journal entry
+        gone, metrics and events recorded" for every observer — a
+        long-polling client is answered the moment the state flips.  A
         crash inside this window loses only the unpublished result; the
         client's resubmission becomes a cache hit.
         """
         if self.journal is not None:
             self.journal.forget(job.id)
-        self.queue.complete(job, result, cache_hit)
         cache = "hit" if cache_hit else "miss"
         if isinstance(result, FailedRun):
             self._m_failed.inc()
@@ -311,13 +312,14 @@ class SimulationService:
             self._m_cache_hits.inc()
         else:
             self._m_cache_misses.inc()
-        self._h_latency.observe(job.service_latency_ns())
+        self._h_latency.observe((time.monotonic() - job.submitted_at) * 1e9)
         self._event("cache_" + cache, job, worker=worker,
                     attempt=job.attempts, cache=cache)
         self._event("terminal", job, worker=worker,
                     attempt=job.attempts, cache=cache, state=state)
         if self.tracer is not None:
             self.tracer.job_terminal(job.id, job.seq, state, cache=cache)
+        self.queue.complete(job, result, cache_hit)
 
     def quarantine_job(self, job: Job, attempts: int,
                        crash: WorkerCrashError) -> None:

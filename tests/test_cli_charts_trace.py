@@ -71,7 +71,9 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "Table 1" in out
-        assert (tmp_path / "table1.txt").exists()
+        # Named like the committed tables, from the title, not the key.
+        assert [p.name for p in tmp_path.iterdir()] == \
+            [table_filename("Table 1")]
 
     def test_sweep(self, capsys):
         code = main(["sweep", "pathfinder", "--scale", "0.1",

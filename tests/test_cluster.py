@@ -23,6 +23,7 @@ from repro.cluster.registry import ShardRegistry
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.errors import (
     ConfigurationError,
+    JobStateError,
     NoShardAvailableError,
     ServeClientError,
     ShardNotFoundError,
@@ -34,6 +35,8 @@ from repro.faultinject import (
 )
 from repro.obs.metrics import Histogram
 from repro.serve.api import build_cell
+
+from .test_serve import RecordingClient
 
 KEYS = [f"key-{i:04d}" for i in range(400)]
 
@@ -332,9 +335,15 @@ class FakeShardServer:
         return {"id": remote_id, "state": job["state"],
                 "cache_hit": job["cache_hit"]}
 
-    def result(self, remote_id):
+    #: Read by the coordinator to size long-poll slices.
+    timeout = 10.0
+
+    def result(self, remote_id, wait=0.0):
         self._check()
         job = self.jobs[remote_id]
+        if job["state"] in ("queued", "running"):
+            raise ServeClientError(f"job {remote_id} is {job['state']}",
+                                   status=409)
         return {"id": remote_id, "state": job["state"],
                 "cache_hit": job["cache_hit"],
                 "result": {"kind": "stats",
@@ -517,6 +526,62 @@ class TestCoordinatorStealing:
         ids = [job["id"] for job in coordinator.jobs()]
         assert len(ids) == len(set(ids))
 
+    @staticmethod
+    def one_queued_job_and_an_idle_shard():
+        cluster = FakeCluster(auto_done=False, steal_threshold=1)
+        coordinator = cluster.coordinator
+        job = coordinator.submit(spec_for(1))
+        donor = cluster.shards[job["shard"]]
+        receiver = cluster.shards[({"s0", "s1"} - {donor.id}).pop()]
+        coordinator.heartbeat({"id": donor.id, "queue_depth": 1,
+                               "running": 0})
+        coordinator.heartbeat({"id": receiver.id, "queue_depth": 0,
+                               "running": 0})
+        return cluster, job["id"], donor, receiver
+
+    def test_status_mid_steal_is_not_cancelled(self):
+        """The donor has cancelled the stolen job but the mapping still
+        points at it: status and result must not pin ``cancelled``."""
+        cluster, job_id, donor, receiver = \
+            self.one_queued_job_and_an_idle_shard()
+        coordinator = cluster.coordinator
+        seen = {}
+        submit = receiver.submit
+
+        def submit_after_looking(*args, **kwargs):
+            seen["status"] = coordinator.status(job_id)["state"]
+            with pytest.raises(JobStateError):
+                coordinator.result(job_id)
+            return submit(*args, **kwargs)
+
+        receiver.submit = submit_after_looking
+        assert coordinator.rebalance() == 1
+        assert seen["status"] == "queued"
+        assert coordinator.status(job_id)["shard"] == receiver.id
+        receiver.jobs[receiver.order[-1]]["state"] = "done"
+        result = coordinator.result(job_id)
+        assert result["state"] == "done"
+        assert result["result"]["stats"]["executed_on"] == receiver.id
+
+    def test_long_poll_follows_a_steal(self):
+        """A steal lands between the long-poll's mapping snapshot and
+        the donor's answer: the poll moves to the receiver."""
+        cluster, job_id, donor, receiver = \
+            self.one_queued_job_and_an_idle_shard()
+        coordinator = cluster.coordinator
+        receiver.auto_done = True
+        result = donor.result
+
+        def steal_then_answer(remote_id, wait=0.0):
+            assert coordinator.rebalance() == 1
+            return result(remote_id, wait)
+
+        donor.result = steal_then_answer
+        payload = coordinator.result(job_id, wait=5.0)
+        assert payload["state"] == "done"
+        assert payload["shard"] == receiver.id
+        assert coordinator.jobs()[0]["steals"] == 1
+
     def test_no_steal_without_idle_receiver(self):
         cluster = FakeCluster(auto_done=False, steal_threshold=1)
         coordinator = cluster.coordinator
@@ -601,6 +666,18 @@ class TestClusterHTTP:
         job = client.submit(spec, seed=1)
         out = client.wait(job["id"], timeout=60.0)
         assert out["cache_hit"] is True
+
+    def test_wait_long_polls_the_coordinator(self, cluster):
+        """``wait`` holds one request at the coordinator while the job
+        runs on its shard: a bounded count, not a spin."""
+        url, client, coordinator = cluster
+        recorder = RecordingClient(port=client.port, timeout=60.0)
+        # Big enough to still be running when the first poll arrives.
+        job = recorder.submit({"name": "hotspot", "scale": 1.0},
+                              seed=11)
+        assert recorder.wait(job["id"], timeout=60.0)["state"] == "done"
+        assert recorder.job_requests(job["id"]) == \
+            [f"/v1/jobs/{job['id']}/result?wait=30.000"]
 
     def test_cluster_metrics_and_prom_labels(self, cluster):
         url, client, coordinator = cluster

@@ -5,14 +5,21 @@ queue, journal, and job-spec validation — they run in the tier-1 suite.
 The ``serve``-marked classes boot a real HTTP server on an ephemeral
 port and exercise the end-to-end contract: job lifecycle, coalescing,
 cache-hit fast path, 429 backpressure, cancellation, and drain + journal
-resume.  Everything is deterministic: fixed seeds, event-gated fake
-runners instead of timing games, and no wall-clock assertions.
+resume.  Everything is deterministic: fixed seeds and event-gated fake
+runners instead of timing games.  Wall-clock bounds appear only where
+latency is the behaviour under test (long-polls, drain), set well
+above the expected value.
 """
 
 import json
+import os
 import pathlib
 import re
+import signal
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
@@ -20,6 +27,7 @@ from repro.config import SimulatorConfig
 from repro.errors import (
     BackpressureError,
     ConfigurationError,
+    DrainingError,
     InvalidJobError,
     JobNotFoundError,
     JobStateError,
@@ -35,7 +43,7 @@ from repro.serve import (
     ServiceServer,
     SimulationService,
 )
-from repro.serve.api import build_cell
+from repro.serve.api import MAX_RESULT_WAIT, build_cell
 from repro.serve.queue import CANCELLED, DONE, FAILED, QUEUED, RUNNING
 from repro.stats import FailedRun, SimStats
 from repro.sweep import RunCache, SweepCell, execute_cell
@@ -74,6 +82,22 @@ class GatedRunner:
 
     def release(self):
         self.gate.set()
+
+
+class RecordingClient(ServeClient):
+    """Records every logical request as ``(method, path)``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.requests = []
+
+    def _request(self, method, path, body=None, budget=None):
+        self.requests.append((method, path))
+        return super()._request(method, path, body=body, budget=budget)
+
+    def job_requests(self, job_id):
+        return [path for _, path in self.requests
+                if path.startswith(f"/v1/jobs/{job_id}")]
 
 
 class TestJobStateMachine:
@@ -185,6 +209,95 @@ class TestJobQueue:
         assert len(queue.pending()) == 1  # ...it stays for the journal
         with pytest.raises(JobStateError):
             queue.submit(cell(2))
+
+    def test_await_terminal_wakes_on_every_terminal_edge(self):
+        queue = JobQueue()
+        with pytest.raises(JobStateError):  # still queued, no wait
+            queue.await_terminal(queue.submit(cell(1))[0].id, 0.0)
+        running = queue.take(timeout=1)
+        queued, _ = queue.submit(cell(2))
+        threading.Timer(0.05, queue.complete,
+                        (running, SimStats(), False)).start()
+        assert queue.await_terminal(running.id, 30.0).state == DONE
+        threading.Timer(0.05, queue.cancel, (queued.id,)).start()
+        assert queue.await_terminal(queued.id, 30.0).state == CANCELLED
+        with pytest.raises(JobNotFoundError):
+            queue.await_terminal("nope", 0.0)
+
+    def test_submit_wakes_a_taker_queued_behind_a_parked_poll(self):
+        """Pollers and workers share one condition: a submission must
+        reach the worker even when a poll parked first."""
+        queue = JobQueue()
+        held, _ = queue.submit(cell(1))
+        queue.take(timeout=1)
+        poll = threading.Thread(target=lambda: pytest.raises(
+            JobStateError, queue.await_terminal, held.id, 1.5))
+        poll.start()
+        time.sleep(0.1)  # the poll parks first...
+        taken = []
+        taker = threading.Thread(
+            target=lambda: taken.append(queue.take(timeout=3.0)))
+        taker.start()
+        time.sleep(0.1)  # ...then the worker
+        start = time.monotonic()
+        job, _ = queue.submit(cell(2))
+        taker.join(timeout=10)
+        assert taken == [job]
+        assert time.monotonic() - start < 1.0
+        poll.join(timeout=10)
+        assert not poll.is_alive()
+
+    def test_takers_and_pollers_under_stress(self):
+        """More threads than cores on one condition, with a short
+        switch interval: every job is taken once and every poll sees
+        its job land."""
+        from collections import Counter
+        from queue import Queue
+
+        jobs = JobQueue()
+        taken = Counter()
+        lock = threading.Lock()
+        ids = Queue()
+        landed = []
+
+        def work():
+            while (job := jobs.take()) is not None:
+                with lock:
+                    taken[job.id] += 1
+                jobs.complete(job, SimStats(), False)
+
+        def poll():
+            while (job_id := ids.get()) is not None:
+                landed.append(jobs.await_terminal(job_id, 10.0).state)
+
+        threads = [threading.Thread(target=work) for _ in range(4)] \
+            + [threading.Thread(target=poll) for _ in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for seed in range(60):
+                ids.put(jobs.submit(cell(seed))[0].id)
+            for _ in range(8):
+                ids.put(None)
+            for thread in threads[4:]:
+                thread.join(timeout=30)
+            jobs.close()
+            for thread in threads[:4]:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert landed == [DONE] * 60
+        assert sorted(taken.values()) == [1] * 60
+
+    def test_close_fails_parked_polls_on_queued_jobs(self):
+        queue = JobQueue()
+        queued, _ = queue.submit(cell(1))
+        threading.Timer(0.05, queue.close).start()
+        with pytest.raises(DrainingError):
+            queue.await_terminal(queued.id, 30.0)
 
     def test_requeue_goes_to_the_front(self):
         queue = JobQueue()
@@ -989,6 +1102,126 @@ class TestHttpApi:
 
 
 @pytest.mark.serve
+class TestLongPoll:
+    """``GET /v1/jobs/<id>/result?wait=`` and ``ServeClient.wait``."""
+
+    SPEC = {"name": "hotspot", "scale": SCALE}
+
+    def test_wait_returns_at_completion_in_one_request(
+            self, http_service):
+        service, runner, client = http_service
+        recorder = RecordingClient(port=client.port, timeout=10.0)
+        job = recorder.submit(self.SPEC, seed=1)
+        assert runner.started.wait(30)
+        releaser = threading.Timer(0.2, runner.release)
+        releaser.start()
+        try:
+            outcome = recorder.wait(job["id"], timeout=30)
+        finally:
+            releaser.cancel()
+        returned = time.monotonic()
+        assert outcome["state"] == "done"
+        # One request, held until the job landed: no status calls, no
+        # poll interval between terminal and the answer.
+        assert recorder.job_requests(job["id"]) == \
+            [f"/v1/jobs/{job['id']}/result?wait=5.000"]
+        finished_at = service.queue.get(job["id"]).finished_at
+        assert returned - finished_at < 0.25
+
+    def test_elapsed_slice_is_409_and_wait_reissues(self, http_service):
+        _, runner, client = http_service
+        job = client.submit(self.SPEC, seed=1)
+        assert runner.started.wait(30)  # held at the gate: never ends
+        start = time.monotonic()
+        with pytest.raises(ServeClientError) as excinfo:
+            client.result(job["id"], wait=0.2)
+        assert excinfo.value.status == 409
+        assert time.monotonic() - start >= 0.2
+
+        # 0.5 s socket timeout -> 0.25 s slices inside a 1 s budget.
+        recorder = RecordingClient(port=client.port, timeout=0.5)
+        start = time.monotonic()
+        with pytest.raises(ServeClientError, match="timed out"):
+            recorder.wait(job["id"], timeout=1.0)
+        assert 1.0 <= time.monotonic() - start < 5.0
+        assert 2 <= len(recorder.job_requests(job["id"])) <= 6
+
+    def test_bad_wait_is_400_and_oversized_is_clamped(
+            self, http_service, monkeypatch):
+        from repro.serve import api
+
+        _, runner, client = http_service
+        job = client.submit(self.SPEC, seed=1)
+        assert runner.started.wait(30)
+        route = f"/v1/jobs/{job['id']}/result"
+        for bad in ("soon", "-1", "nan"):
+            with pytest.raises(ServeClientError) as excinfo:
+                client._request("GET", f"{route}?wait={bad}")
+            assert excinfo.value.status == 400
+        monkeypatch.setattr(api, "MAX_RESULT_WAIT", 0.2)
+        start = time.monotonic()
+        with pytest.raises(ServeClientError) as excinfo:
+            client._request("GET", f"{route}?wait=1000000")
+        assert excinfo.value.status == 409
+        assert time.monotonic() - start < 5.0
+
+    def test_drain_answers_parked_polls_promptly(self, tmp_path):
+        runner = GatedRunner()
+        service = SimulationService(jobs=1, queue_limit=4,
+                                    journal=JobJournal(tmp_path / "j"),
+                                    runner=runner)
+        service.start()
+        server = ServiceServer(service, port=0)
+        server.start_background()
+        client = ServeClient(port=server.port, timeout=60.0)
+        outcomes = {}
+
+        def park(name, job_id):
+            try:
+                outcomes[name] = client.result(job_id, wait=20.0)
+            except ServeClientError as exc:
+                outcomes[name] = exc
+
+        try:
+            held, _ = service.submit(cell(1))
+            assert runner.started.wait(30)
+            queued, _ = service.submit(cell(2))
+            pollers = {name: threading.Thread(target=park,
+                                              args=(name, job.id))
+                       for name, job in (("held", held),
+                                         ("queued", queued))}
+            for thread in pollers.values():
+                thread.start()
+            time.sleep(0.2)  # let both requests park
+            start = time.monotonic()
+            stopper = threading.Thread(target=server.shutdown,
+                                       kwargs={"timeout": 30})
+            stopper.start()
+            # The queued job will not run in this generation: 503 now,
+            # while the held job is still at the gate.
+            pollers["queued"].join(timeout=10)
+            assert not pollers["queued"].is_alive()
+            assert outcomes["queued"].status == 503
+            assert outcomes["queued"].payload["error"]["type"] == \
+                "DrainingError"
+            assert pollers["held"].is_alive()
+            # The running job finishes during the drain: its poll gets
+            # the result, and shutdown does not sit out the clamp.
+            runner.release()
+            stopper.join(timeout=30)
+            pollers["held"].join(timeout=30)
+            assert not stopper.is_alive()
+            assert outcomes["held"]["state"] == "done"
+            server.close()
+            assert time.monotonic() - start < MAX_RESULT_WAIT / 2
+            assert [job_id for job_id, _ in service.journal.load()] == \
+                [queued.id]
+        finally:
+            runner.release()
+            server.close()
+
+
+@pytest.mark.serve
 class TestObservabilityHttp:
     """Event log + tracer wired through a live HTTP daemon."""
 
@@ -1178,3 +1411,84 @@ class TestSigtermDrain:
             signal_module.signal(signal_module.SIGINT, previous_int)
             runner.release()
             server.close()
+
+
+@pytest.mark.serve
+class TestDaemonCli:
+    """``repro serve`` as a subprocess with process workers, driven
+    through the ``repro submit`` CLI."""
+
+    FLAGS = ["hotspot", "--scale", "0.12", "--preset", "paper-tbne-110",
+             "--seed", "0"]
+    ENV = dict(os.environ, PYTHONPATH=str(
+        pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+    def repro(self, *args):
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *args], env=self.ENV,
+            capture_output=True, text=True, check=True, timeout=120)
+
+    @staticmethod
+    def await_port(log_path, daemon):
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            match = re.search(r"listening on http://[^:]+:(\d+)",
+                              log_path.read_text())
+            if match:
+                return int(match.group(1))
+            assert daemon.poll() is None, log_path.read_text()
+            time.sleep(0.05)
+        raise AssertionError("daemon never announced its port")
+
+    def test_submit_parity_cache_hit_and_sigterm_drain(self, tmp_path):
+        log_path = tmp_path / "serve.err"
+        with open(log_path, "w") as log:
+            daemon = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--port", "0",
+                 "--jobs", "2", "--cache-dir", str(tmp_path / "cache"),
+                 "--journal-dir", str(tmp_path / "journal")],
+                env=self.ENV, stdout=subprocess.DEVNULL, stderr=log)
+        try:
+            port = self.await_port(log_path, daemon)
+            local = self.repro("run", *self.FLAGS, "--json")
+            first = self.repro("submit", *self.FLAGS, "--port", str(port))
+            second = self.repro("submit", *self.FLAGS,
+                                "--port", str(port))
+            assert first.stdout == local.stdout  # byte-identical
+            assert second.stdout == first.stdout
+            assert "cache_hit: false" in first.stderr
+            assert "cache_hit: true" in second.stderr
+
+            # SIGTERM while a client is parked in a long-poll on the
+            # newest of a backlog of jobs.
+            client = ServeClient(port=port, timeout=60.0)
+            ids = [client.submit({"name": "srad", "scale": 1.0},
+                                 seed=seed)["id"] for seed in range(6)]
+            parked = {}
+
+            def park():
+                try:
+                    parked["outcome"] = client.wait(ids[-1], timeout=60)
+                except ServeClientError as exc:
+                    parked["error"] = exc
+
+            waiter = threading.Thread(target=park)
+            waiter.start()
+            time.sleep(0.2)
+            start = time.monotonic()
+            daemon.send_signal(signal.SIGTERM)
+            assert daemon.wait(timeout=MAX_RESULT_WAIT) == 0
+            waiter.join(timeout=30)
+            assert not waiter.is_alive()
+            assert time.monotonic() - start < MAX_RESULT_WAIT / 2
+            # Still queued at the drain -> 503; already running -> done.
+            if "error" in parked:
+                assert parked["error"].status == 503
+            else:
+                assert parked["outcome"]["state"] == "done"
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait()
+        assert re.search(r"^\[serve\] drained", log_path.read_text(),
+                         re.MULTILINE)
