@@ -195,9 +195,9 @@ def _build(cell: BenchCell, engine: str):
     if cell.trace:
         overrides["trace_max_events"] = 200_000
     if cell.fault_profile is not None:
-        from .faultinject.profile import load_profile
-        overrides["fault_profile"] = load_profile(cell.fault_profile,
-                                                  seed=cell.seed)
+        from .faultinject.profile import FaultProfile
+        overrides["fault_profile"] = FaultProfile.load(cell.fault_profile,
+                                                       seed=cell.seed)
     if cell.oversubscription is None:
         config = SimulatorConfig(**overrides)
     else:

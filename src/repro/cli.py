@@ -417,9 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos_p = sub.add_parser(
         "chaos",
-        help="boot a process-mode service under an injected service "
-             "fault profile and assert the recovery invariants "
-             "(see docs/SERVICE.md)",
+        help="boot a process-mode service (or, with --cluster, a "
+             "coordinator and shards) under an injected fault profile "
+             "and assert the recovery invariants (see docs/SERVICE.md)",
     )
     chaos_p.add_argument("--workloads", nargs="+", default=["hotspot"],
                          choices=sorted(WORKLOAD_REGISTRY),
@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "or JSON file (default: worker-kill, or "
                               "shard-kill with --cluster)")
     chaos_p.add_argument("--cluster", action="store_true",
-                         help="run the cluster chaos harness instead: "
+                         help="run the cluster topology instead: "
                               "coordinator + shard subprocesses under "
                               "a ClusterFaultProfile (shard SIGKILL, "
                               "heartbeat stalls, ring churn)")
@@ -729,8 +729,8 @@ def _flags_config(args: argparse.Namespace, workload,
     """
     profile = None
     if getattr(args, "fault_profile", None) is not None:
-        from .faultinject.profile import load_profile
-        profile = load_profile(args.fault_profile, seed=args.seed)
+        from .faultinject.profile import FaultProfile
+        profile = FaultProfile.load(args.fault_profile, seed=args.seed)
     if args.preset is not None:
         config = preset_config(args.preset, workload)
         if profile is not None:
@@ -792,8 +792,8 @@ def _traced_runtime(args: argparse.Namespace,
     workload = make_workload(args.workload, scale=args.scale)
     profile = None
     if args.fault_profile is not None:
-        from .faultinject.profile import load_profile
-        profile = load_profile(args.fault_profile, seed=args.seed)
+        from .faultinject.profile import FaultProfile
+        profile = FaultProfile.load(args.fault_profile, seed=args.seed)
     common = dict(
         prefetcher=args.prefetcher,
         eviction=args.eviction,
@@ -861,11 +861,11 @@ def _run_cache(args: argparse.Namespace) -> RunCache | None:
     return RunCache(resolve_cache_dir(args.cache_dir))
 
 
-def _check_jobs(jobs: int) -> None:
+def _check_jobs(jobs: int, flag: str = "--jobs") -> None:
     """Reject nonsensical worker counts before any pool sees them."""
     if jobs < 1:
         raise ConfigurationError(
-            f"--jobs must be a positive integer, got {jobs}"
+            f"{flag} must be a positive integer, got {jobs}"
         )
 
 
@@ -1034,40 +1034,29 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
+    from .chaos import run_chaos
+    from .faultinject import ClusterFaultProfile, ServiceFaultProfile
+
     if args.cluster:
-        from .cluster import run_cluster_chaos
-        from .faultinject import load_cluster_profile
-
-        profile = load_cluster_profile(args.profile or "shard-kill")
-        report = run_cluster_chaos(
-            workloads=args.workloads,
-            scale=args.scale,
-            seeds=args.seeds,
-            profile=profile,
-            shards=args.shards,
-            workers_per_shard=args.workers_per_shard,
-            deadline=args.deadline,
-            root_dir=args.dir,
-            verbose=args.verbose,
-        )
+        _check_jobs(args.workers_per_shard, "--workers-per-shard")
+        profile = ClusterFaultProfile.load(args.profile or "shard-kill")
     else:
-        from .faultinject import load_service_profile
-        from .serve import run_chaos
-
-        _check_jobs(args.workers)
-        profile = load_service_profile(args.profile or "worker-kill")
-        report = run_chaos(
-            workloads=args.workloads,
-            scale=args.scale,
-            seeds=args.seeds,
-            profile=profile,
-            workers=args.workers,
-            max_attempts=args.max_attempts,
-            job_timeout=args.job_timeout,
-            deadline=args.deadline,
-            root_dir=args.dir,
-            verbose=args.verbose,
-        )
+        _check_jobs(args.workers, "--workers")
+        profile = ServiceFaultProfile.load(args.profile or "worker-kill")
+    report = run_chaos(
+        workloads=args.workloads,
+        scale=args.scale,
+        seeds=args.seeds,
+        profile=profile,
+        workers=args.workers,
+        max_attempts=args.max_attempts,
+        job_timeout=args.job_timeout,
+        shards=args.shards,
+        workers_per_shard=args.workers_per_shard,
+        deadline=args.deadline,
+        root_dir=args.dir,
+        verbose=args.verbose,
+    )
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2,
                          sort_keys=True))

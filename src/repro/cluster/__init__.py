@@ -14,15 +14,13 @@ One coordinator (``repro cluster``) federates N independent
   unchanged against either.
 * :mod:`repro.cluster.agent` — the shard-side daemon thread started by
   ``repro serve --join``; registers and heartbeats queue depth.
-* :mod:`repro.cluster.chaos` — the cluster chaos harness behind
-  ``repro chaos --cluster`` (shard SIGKILL, heartbeat stalls, ring
-  churn) asserting the cluster-wide invariants.
+
+``repro chaos --cluster`` (:mod:`repro.chaos`) runs this tier under fault.
 
 Everything is stdlib-only, like the rest of the service tier.
 """
 
 from .agent import ShardAgent
-from .chaos import run_cluster_chaos
 from .coordinator import (
     ClusterCoordinator,
     CoordinatorServer,
@@ -40,6 +38,5 @@ __all__ = [
     "ShardAgent",
     "ShardInfo",
     "ShardRegistry",
-    "run_cluster_chaos",
     "run_coordinator",
 ]

@@ -22,25 +22,18 @@ The same philosophy extends one layer up:
 :class:`~repro.faultinject.service.ServiceFaultProfile` injects
 *service-level* faults — worker-process SIGKILL, wedged workers,
 cache-entry corruption, journal truncation — into the
-:mod:`repro.serve` fleet, driven by the ``repro chaos`` harness; and
+:mod:`repro.serve` fleet, and
 :class:`~repro.faultinject.cluster.ClusterFaultProfile` injects
 *cluster-level* faults — whole-shard SIGKILL, heartbeat stalls, ring
-churn — into a multi-host ``repro serve`` cluster, driven by
-``repro chaos --cluster``.
+churn — into a multi-host ``repro serve`` cluster; ``repro chaos``
+(:mod:`repro.chaos`) drives either.  All three share one base,
+:class:`~repro.faultinject.profile.Profile`.
 """
 
-from .cluster import (
-    CLUSTER_PROFILES,
-    ClusterFaultProfile,
-    load_cluster_profile,
-)
+from .cluster import CLUSTER_PROFILES, ClusterFaultProfile
 from .injector import FaultInjector
-from .profile import PROFILES, FaultProfile, load_profile
-from .service import (
-    SERVICE_PROFILES,
-    ServiceFaultProfile,
-    load_service_profile,
-)
+from .profile import PROFILES, FaultProfile, Profile
+from .service import SERVICE_PROFILES, ServiceFaultProfile
 from .watchdog import Watchdog
 
 __all__ = [
@@ -49,10 +42,8 @@ __all__ = [
     "FaultInjector",
     "FaultProfile",
     "PROFILES",
+    "Profile",
     "SERVICE_PROFILES",
     "ServiceFaultProfile",
     "Watchdog",
-    "load_cluster_profile",
-    "load_profile",
-    "load_service_profile",
 ]

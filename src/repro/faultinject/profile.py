@@ -1,5 +1,7 @@
 """Fault-injection profiles.
 
+:class:`Profile` is the one base of every profile type in this package;
+its validation, loading and dict round trip follow the field annotations.
 A :class:`FaultProfile` is a frozen, validated bundle of injection rates
 (what goes wrong, how often) and resilience policy (how the driver fights
 back).  Profiles are deterministic: the same profile and seed produce the
@@ -10,30 +12,153 @@ experiments reproducible.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 from ..errors import ConfigurationError
 
-#: Profile fields that are probabilities (must lie in [0, 1]).
-_RATE_FIELDS = (
-    "transfer_fault_rate",
-    "latency_spike_rate",
-    "fault_drop_rate",
-    "fault_duplicate_rate",
-    "mshr_overflow_rate",
-    "service_delay_rate",
-)
+
+@functools.cache
+def _field_types(cls: type) -> dict[str, object]:
+    hints = typing.get_type_hints(cls)
+    return {spec.name: hints[spec.name] for spec in dataclasses.fields(cls)}
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse(hint: object, key: str, text: str) -> object:
+    """One inline ``key=value`` value; ``a+b`` lists a tuple field."""
+    try:
+        if hint == tuple[int, ...]:
+            return tuple(int(part) for part in text.split("+") if part)
+        try:
+            return int(text)
+        except ValueError:
+            return float(text)
+    except ValueError:
+        raise ConfigurationError(
+            f"{key}={text!r} is not a number") from None
 
 
 @dataclass(frozen=True)
-class FaultProfile:
+class Profile:
+    """Base of the frozen, seeded profile dataclasses.
+
+    A subclass declares its fields, its decisions and its own ranges
+    (extending :meth:`validate`); the base does the rest.
+    """
+
+    #: Named instances :meth:`load` resolves (set after each subclass).
+    named: ClassVar[dict[str, "Profile"]] = {}
+    #: What error messages call this profile type.
+    kind: ClassVar[str] = "profile"
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise :class:`ConfigurationError` on an ill-typed field: ``int``
+        fields are non-negative ints (``seed`` any int), ``float`` fields
+        finite and ``>= 0``, and ``bool`` never passes for a number."""
+        for name, hint in _field_types(type(self)).items():
+            value = getattr(self, name)
+            if hint is int:
+                ok = _is_int(value) and (value >= 0 or name == "seed")
+                want = "an int" if name == "seed" else "a non-negative int"
+            elif hint is float:
+                ok = (_is_int(value) or isinstance(value, float)) \
+                    and math.isfinite(value) and value >= 0
+                want = "a finite number >= 0"
+            else:  # tuple[int, ...]
+                ok = isinstance(value, tuple) \
+                    and all(_is_int(item) for item in value)
+                want = "a tuple of ints"
+            if not ok:
+                raise ConfigurationError(
+                    f"{self.kind} {name} must be {want}, got {value!r}")
+
+    def replace(self, **changes: object) -> "Profile":
+        """Validated copy with ``changes`` applied."""
+        return dataclasses.replace(self, **changes)
+
+    @classmethod
+    def from_dict(cls, fields: object) -> "Profile":
+        """Build (and validate) a profile from plain JSON-able fields."""
+        if not isinstance(fields, dict):
+            raise ConfigurationError(
+                f"{cls.kind} must be a JSON object, got "
+                f"{type(fields).__name__}")
+        unknown = set(fields) - set(_field_types(cls))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown {cls.kind} fields: {sorted(unknown)}")
+        return cls(**{name: tuple(value) if isinstance(value, list)
+                      else value for name, value in fields.items()})
+
+    def to_dict(self) -> dict:
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in dataclasses.asdict(self).items()}
+
+    @classmethod
+    def load(cls, spec: "str | dict | Profile",
+             seed: int | None = None) -> "Profile":
+        """Resolve a CLI/user spec into a validated profile.
+
+        ``spec`` may be an instance, a dict of fields, a name from
+        :attr:`named`, an inline ``key=value[,key=value...]`` string, or
+        a JSON file path.  ``seed`` overrides the profile's seed when
+        given.
+        """
+        if isinstance(spec, cls):
+            profile = spec
+        elif isinstance(spec, dict):
+            profile = cls.from_dict(spec)
+        elif spec in cls.named:
+            profile = cls.named[spec]
+        elif "=" in spec:
+            types = _field_types(cls)
+            fields: dict[str, object] = {}
+            for pair in spec.split(","):
+                key, sep, value = pair.partition("=")
+                key, value = key.strip(), value.strip()
+                if not sep:
+                    raise ConfigurationError(
+                        f"bad {cls.kind} assignment {pair!r}")
+                fields[key] = _parse(types[key], key, value) \
+                    if key in types else value
+            profile = cls.from_dict(fields)
+        elif Path(spec).is_file():
+            try:
+                fields = json.loads(Path(spec).read_text())
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"{cls.kind} file {spec!r} is not JSON: {exc}") from None
+            profile = cls.from_dict(fields)
+        else:
+            raise ConfigurationError(
+                f"{cls.kind} {spec!r} is neither a named profile "
+                f"({', '.join(sorted(cls.named))}), a key=value list, nor "
+                "a JSON file")
+        if seed is not None and seed != profile.seed:
+            profile = profile.replace(seed=seed)
+        return profile
+
+
+@dataclass(frozen=True)
+class FaultProfile(Profile):
     """What to inject, and how the driver is allowed to recover.
 
-    All rates are per-opportunity probabilities drawn from one dedicated
-    RNG stream (``seed``), independent of the policy RNG, so enabling
-    injection never perturbs the random prefetcher/eviction decisions.
+    All rates (the ``*_rate`` fields) are per-opportunity probabilities
+    drawn from one dedicated RNG stream (``seed``), independent of the
+    policy RNG, so enabling injection never perturbs the random
+    prefetcher/eviction decisions.
     """
 
     # --- injection (what goes wrong) ---------------------------------------
@@ -77,41 +202,28 @@ class FaultProfile:
     #: Seed of the injection RNG stream.
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        self.validate()
+    kind: ClassVar[str] = "fault profile"
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on any inconsistent rate."""
-        for name in _RATE_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+        super().validate()
+        for name, value in self._rates().items():
+            if value > 1.0:
                 raise ConfigurationError(
-                    f"fault profile {name} must be in [0, 1], got {value!r}"
-                )
-        if self.latency_spike_multiplier < 1.0:
-            raise ConfigurationError(
-                "latency_spike_multiplier must be >= 1"
-            )
-        for name in ("service_delay_ns", "fault_redelivery_ns",
-                     "backoff_base_ns", "backoff_cap_ns"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"fault profile {name} must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ConfigurationError("backoff_multiplier must be >= 1")
-        if not isinstance(self.max_retries, int) or self.max_retries < 0:
-            raise ConfigurationError("max_retries must be a non-negative int")
-        if not isinstance(self.degrade_after_failures, int) \
-                or self.degrade_after_failures < 0:
-            raise ConfigurationError(
-                "degrade_after_failures must be a non-negative int"
-            )
-        if not isinstance(self.seed, int):
-            raise ConfigurationError("fault profile seed must be an int")
+                    f"fault profile {name} must be in [0, 1], got {value!r}")
+        for name in ("latency_spike_multiplier", "backoff_multiplier"):
+            if getattr(self, name) < 1.0:
+                raise ConfigurationError(f"{name} must be >= 1")
+
+    def _rates(self) -> dict[str, float]:
+        """The injection probabilities, by field name."""
+        return {name: getattr(self, name) for name in _field_types(type(self))
+                if name.endswith("_rate")}
 
     @property
     def injects_anything(self) -> bool:
         """True when at least one injection rate is nonzero."""
-        return any(getattr(self, name) > 0.0 for name in _RATE_FIELDS)
+        return any(rate > 0.0 for rate in self._rates().values())
 
     def backoff_ns(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (1-based), capped."""
@@ -125,24 +237,6 @@ class FaultProfile:
             # has taken over (a retry storm with a huge max_retries)
             raw = self.backoff_cap_ns
         return min(raw, self.backoff_cap_ns)
-
-    def replace(self, **changes: object) -> "FaultProfile":
-        """Validated copy with ``changes`` applied."""
-        return dataclasses.replace(self, **changes)
-
-    @classmethod
-    def from_dict(cls, fields: dict) -> "FaultProfile":
-        """Build (and validate) a profile from plain JSON-able fields."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(fields) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown fault profile fields: {sorted(unknown)}"
-            )
-        return cls(**fields)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 #: Named profiles for the CLI and experiments, roughly graded by severity.
@@ -163,55 +257,4 @@ PROFILES: dict[str, FaultProfile] = {
     ),
 }
 
-
-def _coerce(text: str) -> object:
-    for parse in (int, float):
-        try:
-            return parse(text)
-        except ValueError:
-            continue
-    return text
-
-
-def load_profile(spec: str | dict | FaultProfile,
-                 seed: int | None = None) -> FaultProfile:
-    """Resolve a CLI/user profile spec into a validated profile.
-
-    ``spec`` may be a :class:`FaultProfile`, a dict of fields, a named
-    profile (``light``/``moderate``/``heavy``), a JSON file path, or an
-    inline ``key=value[,key=value...]`` string.  ``seed`` overrides the
-    profile's seed when given.
-    """
-    if isinstance(spec, FaultProfile):
-        profile = spec
-    elif isinstance(spec, dict):
-        profile = FaultProfile.from_dict(spec)
-    elif spec in PROFILES:
-        profile = PROFILES[spec]
-    elif "=" in spec:
-        fields = {}
-        for pair in spec.split(","):
-            key, _, value = pair.partition("=")
-            if not _:
-                raise ConfigurationError(
-                    f"bad fault profile assignment {pair!r}"
-                )
-            fields[key.strip()] = _coerce(value.strip())
-        profile = FaultProfile.from_dict(fields)
-    else:
-        path = Path(spec)
-        if not path.is_file():
-            raise ConfigurationError(
-                f"fault profile {spec!r} is neither a named profile "
-                f"({', '.join(sorted(PROFILES))}), a key=value list, nor "
-                "a JSON file"
-            )
-        fields = json.loads(path.read_text())
-        if not isinstance(fields, dict):
-            raise ConfigurationError(
-                f"fault profile file {spec!r} must hold a JSON object"
-            )
-        profile = FaultProfile.from_dict(fields)
-    if seed is not None and seed != profile.seed:
-        profile = profile.replace(seed=seed)
-    return profile
+FaultProfile.named = PROFILES

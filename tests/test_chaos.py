@@ -1,34 +1,27 @@
-"""Tests for the worker-process fleet and the service chaos layer.
+"""Tests for the worker-process fleet and the chaos harness.
 
 Unmarked tests are pure in-process unit tests — fault-profile
-validation and parsing, run-cache self-healing, fleet-option policy —
-and run in the tier-1 suite.  The ``chaos``-marked classes spawn real
-worker processes and exercise the supervisor's recovery machinery:
-crash detection, lease revocation and requeue, poison-job quarantine,
-hang kills, and the full ``repro chaos`` invariant harness.
+validation and parsing, run-cache self-healing, fleet-option policy,
+the harness's wave loop and invariant checker against a fake
+topology — and run in the tier-1 suite.  The ``chaos``-marked classes
+spawn real worker processes and exercise the supervisor's recovery
+machinery: crash detection, lease revocation and requeue, poison-job
+quarantine, hang kills, and ``repro chaos --json`` end to end.
 """
 
 import json
 
 import pytest
 
+from repro.chaos import ChaosReport, build_chaos_cells, run_chaos, run_waves
+from repro.cli import main
 from repro.config import SimulatorConfig
 from repro.errors import ConfigurationError, ServeError
-from repro.faultinject import (
-    SERVICE_PROFILES,
-    ServiceFaultProfile,
-    load_service_profile,
-)
-from repro.serve import (
-    FleetOptions,
-    JobJournal,
-    SimulationService,
-    run_chaos,
-)
-from repro.serve.chaos import build_chaos_cells
+from repro.faultinject import SERVICE_PROFILES, ServiceFaultProfile
+from repro.serve import FleetOptions, JobJournal, SimulationService
 from repro.serve.queue import DONE, FAILED
 from repro.stats import FailedRun, SimStats
-from repro.sweep import RunCache, SweepCell
+from repro.sweep import RunCache, SweepCell, execute_cell
 
 SCALE = 0.12
 
@@ -86,19 +79,19 @@ class TestServiceFaultProfile:
         assert clone == profile
 
     def test_load_named_kv_file_and_seed_override(self, tmp_path):
-        assert load_service_profile("worker-kill") is \
+        assert ServiceFaultProfile.load("worker-kill") is \
             SERVICE_PROFILES["worker-kill"]
-        parsed = load_service_profile(
+        parsed = ServiceFaultProfile.load(
             "kill_every_jobs=2,poison_seeds=5+6,stall_seconds=1.5")
         assert parsed.kill_every_jobs == 2
         assert parsed.poison_seeds == (5, 6)
         assert parsed.stall_seconds == 1.5
         path = tmp_path / "profile.json"
         path.write_text(json.dumps({"corrupt_cache_every": 4}))
-        assert load_service_profile(str(path)).corrupt_cache_every == 4
-        assert load_service_profile("poison-job", seed=9).seed == 9
+        assert ServiceFaultProfile.load(str(path)).corrupt_cache_every == 4
+        assert ServiceFaultProfile.load("poison-job", seed=9).seed == 9
         with pytest.raises(ConfigurationError):
-            load_service_profile("no-such-profile")
+            ServiceFaultProfile.load("no-such-profile")
 
 
 class TestFleetOptions:
@@ -175,6 +168,82 @@ class TestChaosCells:
                                   profile)
         assert [c.config.seed for c in cells] == [1, 1097]
         assert len({c.cache_key() for c in cells}) == 2
+
+
+class FakeTopology:
+    """Answers every job with a fresh fault-free run of its cell; the
+    reuse wave's answers (jobs submitted after the first wave) pass
+    through ``tamper`` first."""
+
+    def __init__(self, tamper):
+        self.tamper = tamper
+        self.cells: dict[str, SweepCell] = {}
+        self.first_wave: set[str] = set()
+
+    def submit(self, cell):
+        job_id = f"job-{len(self.cells)}"
+        self.cells[job_id] = cell
+        return job_id
+
+    def submitted(self, count, total, report):
+        self.first_wave = set(self.cells)
+
+    def result(self, job_id, timeout):
+        stats, _ = execute_cell(self.cells[job_id], cache=None)
+        payload = {"id": job_id, "state": "done", "cache_hit": True,
+                   "result": {"kind": "stats",
+                              "stats": stats.to_json_dict()}}
+        if job_id in self.first_wave:
+            return payload
+        return self.tamper(payload)
+
+    def state(self, job_id):
+        return "done"
+
+    def check(self, report):
+        pass
+
+
+def _alter_stats(payload):
+    payload["result"]["stats"]["far_faults"] += 1
+    return payload
+
+
+def _fail(payload):
+    payload.update(state="failed", result={"kind": "failed", "failed": {
+        "error_type": "SimulationError", "message": "boom"}})
+    return payload
+
+
+class TestWaveChecker:
+    """Both waves go through the same checker."""
+
+    @pytest.mark.parametrize("tamper, violation", [
+        (_alter_stats, "parity broken: job job-1"),
+        (_fail, "job job-1 ended 'failed', expected stats: "
+                "SimulationError: boom"),
+    ], ids=["altered-stats", "failed"])
+    def test_reuse_wave_is_checked(self, tamper, violation):
+        profile = ServiceFaultProfile()
+        report = ChaosReport(profile=profile)
+        cells = build_chaos_cells(["hotspot"], SCALE, [1], profile)
+        run_waves(FakeTopology(tamper), cells, report, deadline=10.0,
+                  max_attempts=3)
+        assert len(report.violations) == 1
+        assert report.violations[0].startswith(violation)
+        assert report.jobs_total == 2 and report.jobs_rerun == 1
+        assert "chaos: FAIL" in report.to_table()
+
+    def test_untampered_waves_pass(self):
+        profile = ServiceFaultProfile()
+        report = ChaosReport(profile=profile)
+        cells = build_chaos_cells(["hotspot"], SCALE, [1, 2], profile)
+        run_waves(FakeTopology(lambda payload: payload), cells, report,
+                  deadline=10.0, max_attempts=3)
+        assert report.violations == []
+        assert report.parity_checked == 4
+        assert report.warm_hit_rate == 1.0
+        assert "chaos: PASS" in report.to_table()
 
 
 def process_service(tmp_path, profile=None, workers=1, **fleet_kwargs):
@@ -282,27 +351,40 @@ class TestProcessFleet:
 
 @pytest.mark.chaos
 class TestChaosHarness:
-    def test_mixed_profile_invariants_hold(self, tmp_path):
-        profile = ServiceFaultProfile(kill_every_jobs=3,
-                                      poison_seeds=(1097,),
-                                      corrupt_cache_every=1,
-                                      truncate_journal_entries=2)
-        report = run_chaos(
-            workloads=["hotspot"], scale=SCALE, seeds=[1, 2],
-            profile=profile, workers=2, max_attempts=3,
-            root_dir=tmp_path / "chaos",
-        )
-        assert report.violations == []
-        assert report.ok
-        assert report.jobs_total == 5  # 3 first wave + 2 reuse wave
-        assert report.poison_jobs == 1
-        assert report.jobs_failed == 1
-        assert report.metrics["serve.jobs_quarantined"] == 1
-        assert report.metrics["serve.journal_entries_quarantined"] == 2
-        assert report.metrics["serve.cache_entries_quarantined"] >= 1
-        payload = report.to_json_dict()
-        assert payload["ok"] and payload["violations"] == []
-        assert "chaos: PASS" in report.to_table()
+    @pytest.mark.parametrize("profile, seeds, exact, least", [
+        pytest.param(
+            "kill_every_jobs=3,poison_seeds=1097,corrupt_cache_every=1,"
+            "truncate_journal_entries=2", [1, 2],
+            # 3 first wave + 2 reuse wave; the poison job fails once
+            {"jobs_total": 5, "poison_jobs": 1, "jobs_failed": 1,
+             "serve.jobs_quarantined": 1,
+             "serve.journal_entries_quarantined": 2},
+            {"serve.cache_entries_quarantined": 1},
+            id="mixed"),
+        pytest.param(
+            "worker-kill", [1, 2, 3], {"jobs_total": 6, "jobs_failed": 0},
+            {"serve.worker_restarts": 1}, id="worker-kill"),
+        pytest.param(
+            "cache-corrupt", [1, 2], {"jobs_total": 4, "jobs_failed": 0},
+            {"serve.cache_entries_quarantined": 1,
+             "serve.journal_entries_quarantined": 2},
+            id="cache-corrupt"),
+    ])
+    def test_profile_invariants_hold(self, tmp_path, capsys, profile,
+                                     seeds, exact, least):
+        code = main(["chaos", "--workloads", "hotspot",
+                     "--scale", str(SCALE),
+                     "--seeds", *map(str, seeds), "--profile", profile,
+                     "--workers", "2", "--max-attempts", "3",
+                     "--dir", str(tmp_path / "chaos"), "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert report["violations"] == []
+        assert code == 0 and report["ok"]
+        # Keys with a dot are metrics; the rest are report fields.
+        assert {key: (report["metrics"] if "." in key else report)[key]
+                for key in exact} == exact
+        for metric, floor in least.items():
+            assert report["metrics"][metric] >= floor, metric
 
     def test_stalling_profile_requires_job_timeout(self):
         with pytest.raises(ServeError):

@@ -22,17 +22,14 @@ from repro.cluster.ring import HashRing
 from repro.cluster.registry import ShardRegistry
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.errors import (
+    ClusterError,
     ConfigurationError,
     JobStateError,
     NoShardAvailableError,
     ServeClientError,
     ShardNotFoundError,
 )
-from repro.faultinject import (
-    CLUSTER_PROFILES,
-    ClusterFaultProfile,
-    load_cluster_profile,
-)
+from repro.faultinject import CLUSTER_PROFILES, ClusterFaultProfile
 from repro.obs.metrics import Histogram
 from repro.serve.api import build_cell
 
@@ -207,14 +204,14 @@ class TestShardRegistry:
 
 class TestClusterFaultProfile:
     def test_named_profiles(self):
-        assert load_cluster_profile("shard-kill").kill_shards == 1
-        assert load_cluster_profile("none").injects_anything is False
+        assert ClusterFaultProfile.load("shard-kill").kill_shards == 1
+        assert ClusterFaultProfile.load("none").injects_anything is False
         assert set(CLUSTER_PROFILES) == {
             "none", "shard-kill", "heartbeat-stall", "ring-churn",
             "mixed"}
 
     def test_inline_key_value(self):
-        profile = load_cluster_profile(
+        profile = ClusterFaultProfile.load(
             "kill_shards=2,kill_after_jobs=1,seed=9")
         assert profile.kill_shards == 2
         assert profile.kill_after_jobs == 1
@@ -223,11 +220,11 @@ class TestClusterFaultProfile:
     def test_json_file(self, tmp_path):
         path = tmp_path / "profile.json"
         path.write_text(json.dumps({"stall_heartbeats": 1}))
-        assert load_cluster_profile(str(path)).stall_heartbeats == 1
+        assert ClusterFaultProfile.load(str(path)).stall_heartbeats == 1
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError):
-            load_cluster_profile("explode=1")
+            ClusterFaultProfile.load("explode=1")
 
     def test_negative_count_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -235,10 +232,10 @@ class TestClusterFaultProfile:
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
-            load_cluster_profile("not-a-profile")
+            ClusterFaultProfile.load("not-a-profile")
 
     def test_seed_override(self):
-        assert load_cluster_profile("shard-kill", seed=5).seed == 5
+        assert ClusterFaultProfile.load("shard-kill", seed=5).seed == 5
 
 
 # --- histogram merging -------------------------------------------------------
@@ -727,30 +724,59 @@ class TestClusterHTTP:
 
 # --- full chaos harness (subprocess shards) ----------------------------------
 
+class TestClusterChaosArgs:
+    def test_zero_workers_per_shard_rejected_up_front(self):
+        from repro.cli import main
+
+        with pytest.raises(ConfigurationError,
+                           match="--workers-per-shard must be a positive"):
+            main(["chaos", "--cluster", "--workers-per-shard", "0"])
+
+
 @pytest.mark.cluster
 class TestClusterChaos:
-    def test_shard_kill_invariants(self, tmp_path):
-        from repro.cluster import run_cluster_chaos
+    def test_shard_kill_invariants(self, tmp_path, capsys):
+        from repro.cli import main
 
-        profile = load_cluster_profile("shard-kill")
-        report = run_cluster_chaos(
-            workloads=["hotspot"], scale=0.05, seeds=[1, 2, 3, 4],
-            profile=profile, shards=3, workers_per_shard=1,
-            deadline=180.0, root_dir=tmp_path / "chaos")
-        assert report.violations == []
-        assert report.ok
-        assert report.shards_killed == 1
-        assert report.jobs_done == report.jobs_total
-        assert report.parity_checked > 0
-        assert report.warm_hit_rate >= 0.9
+        code = main(["chaos", "--cluster", "--profile", "shard-kill",
+                     "--shards", "3", "--workers-per-shard", "1",
+                     "--scale", "0.05", "--seeds", "1", "2", "3", "4",
+                     "--deadline", "180", "--dir", str(tmp_path / "chaos"),
+                     "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert report["violations"] == []
+        assert code == 0 and report["ok"]
+        assert report["shards_killed"] == 1
+        assert report["metrics"]["cluster.shards_dead"] >= 1
+        # Both waves count, and both are parity-checked.
+        assert report["jobs_done"] == report["jobs_total"] == 8
+        assert report["jobs_rerun"] == 4
+        assert report["parity_checked"] == 8
+        assert report["warm_hit_rate"] >= 0.9
 
     def test_none_profile_clean_run(self, tmp_path):
-        from repro.cluster import run_cluster_chaos
+        from repro.chaos import run_chaos
 
-        report = run_cluster_chaos(
+        report = run_chaos(
             workloads=["hotspot"], scale=0.05, seeds=[1, 2],
-            profile=load_cluster_profile("none"), shards=2,
+            profile=ClusterFaultProfile.load("none"), shards=2,
             workers_per_shard=1, deadline=120.0,
             root_dir=tmp_path / "chaos")
         assert report.ok
         assert report.shards_killed == 0
+        assert "chaos: PASS" in report.to_table()
+
+    def test_shard_exiting_during_boot_fails_at_once(self, tmp_path):
+        import time
+
+        from repro.chaos import BOOT_TIMEOUT, run_chaos
+
+        started = time.monotonic()
+        with pytest.raises(ClusterError) as caught:
+            run_chaos(workloads=["hotspot"], scale=0.05, seeds=[1],
+                      profile=ClusterFaultProfile(), shards=2,
+                      workers_per_shard=0, root_dir=tmp_path / "chaos")
+        assert time.monotonic() - started < BOOT_TIMEOUT / 2
+        message = str(caught.value)
+        assert "exited with code 2 during boot" in message
+        assert "--jobs must be a positive integer" in message

@@ -17,9 +17,15 @@ from repro.errors import (
 )
 from repro.experiments import FailedRun, common, run_suite_setting
 from repro.experiments import extension_resilience
-from repro.faultinject import FaultProfile, PROFILES, load_profile
+from repro.faultinject import (
+    PROFILES,
+    ClusterFaultProfile,
+    FaultProfile,
+    ServiceFaultProfile,
+)
 from repro.gpu.kernel import KernelSpec, ThreadBlockSpec, WarpSpec
 from repro.runtime import run_workload
+from repro.sweep import SweepCell
 from repro.validation import ClaimCheck
 from repro.workloads.registry import make_workload
 
@@ -84,18 +90,18 @@ class TestProfile:
             FaultProfile.from_dict({"transfer_fault_rat": 0.1})
 
     def test_load_profile_forms(self, tmp_path):
-        assert load_profile("moderate") is PROFILES["moderate"]
-        inline = load_profile("transfer_fault_rate=0.2, max_retries=3")
+        assert FaultProfile.load("moderate") is PROFILES["moderate"]
+        inline = FaultProfile.load("transfer_fault_rate=0.2, max_retries=3")
         assert inline.transfer_fault_rate == 0.2
         assert inline.max_retries == 3
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"latency_spike_rate": 0.4}))
-        assert load_profile(str(path)).latency_spike_rate == 0.4
-        assert load_profile("light", seed=9).seed == 9
+        assert FaultProfile.load(str(path)).latency_spike_rate == 0.4
+        assert FaultProfile.load("light", seed=9).seed == 9
         with pytest.raises(ConfigurationError):
-            load_profile("no-such-profile")
+            FaultProfile.load("no-such-profile")
         with pytest.raises(ConfigurationError):
-            load_profile("transfer_fault_rate")
+            FaultProfile.load("transfer_fault_rate")
 
     def test_config_coerces_profile_dict(self):
         config = SimulatorConfig(fault_profile={"transfer_fault_rate": 0.1})
@@ -109,6 +115,81 @@ class TestProfile:
         for exc_type in (FaultInjectionError, RetryExhaustedError,
                          WatchdogTimeout):
             assert issubclass(exc_type, ReproError)
+
+
+MALFORMED_SPECS = [
+    (FaultProfile, "latency_spike_multiplier=abc"),
+    (FaultProfile, "service_delay_ns=nan"),
+    (FaultProfile, "backoff_cap_ns=inf"),
+    (FaultProfile, {"max_retries": True}),
+    (FaultProfile, ("file", '{"fault_redelivery_ns": NaN}')),
+    (FaultProfile, ("file", "not json")),
+    (ServiceFaultProfile, "poison_seeds=abc"),
+    (ServiceFaultProfile, "stall_seconds=nan"),
+    (ServiceFaultProfile, "stall_seconds=inf"),
+    (ServiceFaultProfile, {"kill_every_jobs": True}),
+    (ServiceFaultProfile, {"poison_seeds": [1, True]}),
+    (ServiceFaultProfile, ("file", "not json")),
+    (ClusterFaultProfile, {"kill_shards": True}),
+    (ClusterFaultProfile, {"seed": True}),
+    (ClusterFaultProfile, ("file", '{"join_midwave": true}')),
+    (ClusterFaultProfile, ("file", "{")),
+]
+
+
+class TestProfileBase:
+    """The one annotation-driven base behind all three profile types."""
+
+    @pytest.mark.parametrize(
+        "cls, spec", MALFORMED_SPECS,
+        ids=[f"{cls.__name__}-{index}"
+             for index, (cls, _) in enumerate(MALFORMED_SPECS)])
+    def test_malformed_spec_raises_configuration_error(self, tmp_path,
+                                                       cls, spec):
+        if isinstance(spec, tuple):
+            path = tmp_path / "profile.json"
+            path.write_text(spec[1])
+            spec = str(path)
+        with pytest.raises(ConfigurationError):
+            cls.load(spec)
+
+    def test_to_dict_and_cache_key_match_history(self):
+        """``to_dict`` is hashed into every fault-injected cell's cache
+        key, so it must never drift: these are the values the profile
+        types produced before they shared a base."""
+        assert json.dumps(PROFILES["moderate"].to_dict()) == (
+            '{"transfer_fault_rate": 0.05, "latency_spike_rate": 0.05, '
+            '"latency_spike_multiplier": 4.0, "fault_drop_rate": 0.02, '
+            '"fault_duplicate_rate": 0.02, "mshr_overflow_rate": 0.0, '
+            '"service_delay_rate": 0.05, "service_delay_ns": 100000.0, '
+            '"fault_redelivery_ns": 50000.0, "max_retries": 8, '
+            '"backoff_base_ns": 10000.0, "backoff_multiplier": 2.0, '
+            '"backoff_cap_ns": 1000000.0, "degrade_after_failures": 4, '
+            '"seed": 0}')
+        keys = {
+            name: SweepCell(
+                workload_spec={"name": "hotspot", "scale": 0.12},
+                config=SimulatorConfig(fault_profile=profile, seed=3),
+            ).cache_key()
+            for name, profile in PROFILES.items()
+        }
+        assert keys == {
+            "light": "1c22779d19cb7ee8c72fa2ae768a02b4"
+                     "e84be1502e06a3e294137cd77408626c",
+            "moderate": "01d8c6e24ab45a8220abacc93faaa12d"
+                        "a6db4d6ba4e5359974846f62f163e7d8",
+            "heavy": "b9c95f89a03dcf9fd4bb1b592e0189f1"
+                     "d7326755f9716399110b88521fec2812",
+        }
+
+    def test_inline_values_follow_the_annotations(self):
+        # a+b splits only tuple fields, so an exponent stays a float.
+        assert FaultProfile.load("service_delay_ns=1e+5") \
+            .service_delay_ns == 1e5
+        assert ServiceFaultProfile.load("poison_seeds=5+6,seed=-1") \
+            .poison_seeds == (5, 6)
+        assert ClusterFaultProfile.from_dict(
+            ClusterFaultProfile(kill_shards=2).to_dict()).kill_shards == 2
 
 
 class TestZeroCostWhenDisabled:
