@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from .config import SimulatorConfig, oversubscribed
 from .runtime import UvmRuntime
 from .workloads import make_workload
-from .workloads.base import AddressResolver
+from .workloads.base import AddressResolver, Workload
 
 #: (prefetcher, eviction) pairings cycled through the matrix; every
 #: registered policy family appears at least once.
@@ -180,10 +180,9 @@ THROUGHPUT_CELLS = (
 )
 
 
-def _build(cell: BenchCell, engine: str):
-    """Runtime + pre-materialized kernels + access count for one cell."""
-    workload = make_workload(cell.workload, scale=cell.scale,
-                             **dict(cell.kwargs))
+def cell_config(cell: BenchCell, engine: str,
+                workload: Workload) -> SimulatorConfig:
+    """The config ``cell`` runs under ``engine``."""
     overrides: dict = {
         "engine": engine,
         "prefetcher": cell.prefetcher,
@@ -199,11 +198,16 @@ def _build(cell: BenchCell, engine: str):
         overrides["fault_profile"] = FaultProfile.load(cell.fault_profile,
                                                        seed=cell.seed)
     if cell.oversubscription is None:
-        config = SimulatorConfig(**overrides)
-    else:
-        config = oversubscribed(workload.footprint_bytes,
-                                cell.oversubscription, **overrides)
-    runtime = UvmRuntime(config)
+        return SimulatorConfig(**overrides)
+    return oversubscribed(workload.footprint_bytes,
+                          cell.oversubscription, **overrides)
+
+
+def _build(cell: BenchCell, engine: str):
+    """Runtime + pre-materialized kernels + access count for one cell."""
+    workload = make_workload(cell.workload, scale=cell.scale,
+                             **dict(cell.kwargs))
+    runtime = UvmRuntime(cell_config(cell, engine, workload))
     for spec in workload.allocations():
         runtime.malloc_managed(spec.name, spec.size_bytes)
     resolver = AddressResolver(runtime.simulator.allocator)

@@ -719,11 +719,11 @@ def _print_resilience(stats) -> None:
     print(format_table(["resilience counter", "value"], rows))
 
 
-def _flags_config(args: argparse.Namespace, workload,
-                  file_fields: dict | None = None) -> SimulatorConfig:
-    """Build the config `run` and `submit` share from the policy flags.
+def _flags_config(args: argparse.Namespace, workload) -> SimulatorConfig:
+    """Build the config `run`, `submit`, `trace` and `report` share from
+    the policy flags (a flag a command lacks keeps the field's default).
 
-    One recipe for both commands, so a cell submitted to a server hashes
+    One recipe for every command, so a cell submitted to a server hashes
     identically to the same cell run in-process — the cache-hit and
     coalescing guarantees depend on it.
     """
@@ -731,24 +731,19 @@ def _flags_config(args: argparse.Namespace, workload,
     if getattr(args, "fault_profile", None) is not None:
         from .faultinject.profile import FaultProfile
         profile = FaultProfile.load(args.fault_profile, seed=args.seed)
-    if args.preset is not None:
-        config = preset_config(args.preset, workload)
-        if profile is not None:
-            config = config.replace(fault_profile=profile)
-        return config
+    if getattr(args, "preset", None) is not None:
+        return preset_config(args.preset, workload).replace(
+            fault_profile=profile)
     common = dict(
         engine=getattr(args, "engine", "reference"),
         prefetcher=args.prefetcher,
         eviction=args.eviction,
         disable_prefetch_on_oversubscription=not args.keep_prefetching,
-        lru_reservation_fraction=args.reservation,
-        free_page_buffer_fraction=args.buffer,
+        lru_reservation_fraction=getattr(args, "reservation", 0.0),
+        free_page_buffer_fraction=getattr(args, "buffer", 0.0),
         seed=args.seed,
         fault_profile=profile,
     )
-    if file_fields is not None:
-        # The file is the explicit artifact: its values win.
-        common.update(file_fields)
     if args.oversubscription is None:
         return SimulatorConfig(**common)
     return oversubscribed(workload.footprint_bytes,
@@ -762,12 +757,18 @@ def _stats_json(stats_dict: dict) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     workload = make_workload(args.workload, scale=args.scale)
-    file_fields = None
+    config = _flags_config(args, workload)
     if args.config_file is not None:
-        file_fields = json.loads(args.config_file.read_text())
+        try:
+            file_fields = json.loads(args.config_file.read_text())
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"--config-file is not JSON: {exc}") from None
         if not isinstance(file_fields, dict):
             raise SystemExit("--config-file must contain a JSON object")
-    config = _flags_config(args, workload, file_fields)
+        # The file is the explicit artifact: its values win.
+        config = SimulatorConfig.from_dict(
+            {**config.to_dict(), **file_fields})
     stats = UvmRuntime(config).run_workload(workload)
     if args.json:
         print(_stats_json(stats.to_json_dict()))
@@ -790,25 +791,8 @@ def _traced_runtime(args: argparse.Namespace,
                     max_events: int = 0):
     """Run one workload with span tracing on; returns (workload, runtime)."""
     workload = make_workload(args.workload, scale=args.scale)
-    profile = None
-    if args.fault_profile is not None:
-        from .faultinject.profile import FaultProfile
-        profile = FaultProfile.load(args.fault_profile, seed=args.seed)
-    common = dict(
-        prefetcher=args.prefetcher,
-        eviction=args.eviction,
-        disable_prefetch_on_oversubscription=not args.keep_prefetching,
-        seed=args.seed,
-        fault_profile=profile,
-        trace=True,
-        trace_max_events=max_events,
-    )
-    if args.oversubscription is None:
-        config = SimulatorConfig(**common)
-    else:
-        config = oversubscribed(workload.footprint_bytes,
-                                args.oversubscription, **common)
-    runtime = UvmRuntime(config)
+    runtime = UvmRuntime(_flags_config(args, workload).replace(
+        trace=True, trace_max_events=max_events))
     runtime.run_workload(workload)
     return workload, runtime
 

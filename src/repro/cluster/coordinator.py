@@ -78,6 +78,15 @@ DEFAULT_STEAL_BATCH = 4
 DEFAULT_TICK = 0.5
 
 
+def _count(payload: dict, name: str, default: int | None = None) -> int:
+    """A membership body's non-negative int field (anything else: 400)."""
+    value = payload.get(name, default)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise InvalidJobError(
+            f"{name} must be a non-negative int, got {value!r}")
+    return value
+
+
 def _default_client_factory(host: str, port: int) -> ServeClient:
     """Coordinator-side shard client: fail fast, never retry 429s
     (backpressure must propagate to the submitting client, who owns
@@ -111,6 +120,11 @@ class RoutedJob:
     @property
     def is_terminal(self) -> bool:
         return self.result is not None
+
+    def observe(self, state: str) -> None:
+        """Take a shard-reported state unless a result is pinned."""
+        if self.result is None:
+            self.state = state
 
     def status_dict(self) -> dict:
         """The coordinator's own view (no shard round-trip)."""
@@ -235,7 +249,7 @@ class ClusterCoordinator:
             )
         shard = self.registry.register(
             str(payload["id"]), str(payload["host"]),
-            int(payload["port"]), workers=int(payload.get("workers", 1)))
+            _count(payload, "port"), workers=_count(payload, "workers", 1))
         self._m_registered.inc()
         self._event("shard_joined", shard=shard.id, detail=shard.url)
         self._log(f"shard {shard.id} joined at {shard.url}")
@@ -250,8 +264,8 @@ class ClusterCoordinator:
                 "heartbeat body must be a JSON object with an 'id'")
         shard = self.registry.heartbeat(
             str(payload["id"]),
-            queue_depth=int(payload.get("queue_depth", 0)),
-            running=int(payload.get("running", 0)))
+            queue_depth=_count(payload, "queue_depth", 0),
+            running=_count(payload, "running", 0))
         self._m_heartbeats.inc()
         return {"id": shard.id, "state": shard.state,
                 "generation": self.registry.generation}
@@ -314,7 +328,7 @@ class ClusterCoordinator:
                 else:
                     job.shard_id = shard.id
                     job.remote_id = answer["id"]
-                job.state = answer.get("state", "queued")
+                job.observe(answer.get("state", "queued"))
                 self._moved.notify_all()
             self._m_routed.inc()
             self._event("routed", job, shard=shard.id)
@@ -351,6 +365,8 @@ class ClusterCoordinator:
             # Stolen off that shard: answer from the current mapping.
             return job.status_dict()
         with self._lock:
+            if job.is_terminal:  # a racing result() call pinned it
+                return job.status_dict()
             job.state = remote.get("state", job.state)
             job.cache_hit = remote.get("cache_hit")
         if job.state in TERMINAL_STATES:
@@ -572,7 +588,7 @@ class ClusterCoordinator:
             if job is not None:
                 job.shard_id = receiver.id
                 job.remote_id = answer["id"]
-                job.state = answer.get("state", "queued")
+                job.observe(answer.get("state", "queued"))
                 job.steals += 1
                 self._moved.notify_all()
         self._m_stolen.inc()

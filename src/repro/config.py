@@ -8,13 +8,15 @@ Pascal-class GPU, 28 SMs at 1481 MHz, 4 KB pages, 45 us fault handling,
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import ClassVar, Literal
 
 from . import constants
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SimulationError
+from .faultinject.profile import FaultProfile
+from .options import Options
 
 #: Process-wide default for ``check_invariants_on_completion=None``.
 #: Production keeps it off (the checks are observational but not free);
@@ -22,13 +24,24 @@ from .errors import ConfigurationError
 #: kernel boundary where it was injected, not in downstream figures.
 AUTO_CHECK_INVARIANTS = False
 
+#: Count fields that must be strictly positive (the base admits 0).
+_POSITIVE_FIELDS = (
+    "num_sms", "max_thread_blocks_per_sm", "cycles_per_access",
+    "tlb_entries", "page_size", "basic_block_size", "large_page_size",
+    "page_table_walk_cycles", "mshr_entries", "radix_cycles_per_level",
+    "pwc_entries", "l2_capacity_pages", "l2_ways",
+    "watchdog_interval_events", "watchdog_no_progress_ticks",
+    "access_trace_stride", "timeline_stride",
+)
 
-@dataclass
-class SimulatorConfig:
+
+@dataclass(frozen=True)
+class SimulatorConfig(Options):
     """All knobs of the UVM simulator.
 
     Attributes are grouped as: GPU execution, memory system, fault handling,
-    interconnect, and policy behaviour under over-subscription.
+    interconnect, and policy behaviour under over-subscription.  Frozen:
+    derive a changed copy with :meth:`replace`.
     """
 
     # --- Engine ------------------------------------------------------------
@@ -37,7 +50,7 @@ class SimulatorConfig:
     #: (:mod:`repro.core.fastpath`), byte-identical by contract and gated
     #: by the ``fastpath-equiv`` validation claim.  The default stays
     #: ``"reference"`` until the gate has a longer track record.
-    engine: str = "reference"
+    engine: Literal["reference", "fast"] = "reference"
 
     # --- GPU execution -----------------------------------------------------
     num_sms: int = constants.DEFAULT_NUM_SMS
@@ -72,7 +85,7 @@ class SimulatorConfig:
     fault_batch_limit: int = 0
     #: Page-table walk model: "fixed" (Table 2's constant latency) or
     #: "radix" (4-level walk with a page-walk cache).
-    page_walk_model: str = "fixed"
+    page_walk_model: Literal["fixed", "radix"] = "fixed"
     #: Per-level walker memory-access latency for the radix model, cycles.
     radix_cycles_per_level: int = 50
     #: Page-walk-cache entries for the radix model.
@@ -113,7 +126,7 @@ class SimulatorConfig:
     #: Fault-injection profile (``None`` disables every hook — the
     #: default path is byte-identical to an injection-free build).  A
     #: plain dict (e.g. from a JSON config file) is coerced on validation.
-    fault_profile: "FaultProfile | dict | None" = None
+    fault_profile: FaultProfile | None = None
     #: Watchdog: livelock/no-progress detection in the kernel event loop.
     #: Ticks only observe, so the default-on watchdog never changes
     #: simulation results.
@@ -158,34 +171,17 @@ class SimulatorConfig:
     #: are counted in ``tracer.dropped_events`` rather than kept.
     trace_max_events: int = 0
 
-    def __post_init__(self) -> None:
-        self.validate()
-
-    # Keys whose values must be strictly positive integers.
-    _POSITIVE_INT_FIELDS = (
-        "num_sms",
-        "max_thread_blocks_per_sm",
-        "cycles_per_access",
-        "tlb_entries",
-        "page_size",
-        "basic_block_size",
-        "large_page_size",
-        "page_table_walk_cycles",
-        "mshr_entries",
-    )
+    kind: ClassVar[str] = "SimulatorConfig"
 
     def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on any inconsistent setting."""
-        if self.engine not in ("reference", "fast"):
-            raise ConfigurationError(
-                f"engine must be 'reference' or 'fast', got {self.engine!r}"
-            )
-        for name in self._POSITIVE_INT_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
-                raise ConfigurationError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
+        """Raise :class:`ConfigurationError` on any inconsistent setting
+        (field types are the base's), a :class:`PolicyError` on an
+        unknown policy name, and a :class:`SimulationError` when
+        ``engine="fast"`` meets a policy without a batched path."""
+        super().validate()
+        for name in _POSITIVE_FIELDS:
+            if getattr(self, name) == 0:
+                raise ConfigurationError(f"{name} must be > 0")
         if self.device_memory_bytes is not None:
             if self.device_memory_bytes < self.page_size:
                 raise ConfigurationError(
@@ -209,115 +205,36 @@ class SimulatorConfig:
                 "large_page_size / basic_block_size must be a power of two "
                 "(the prefetcher builds full binary trees)"
             )
-        if self.fault_handling_latency_ns < 0:
-            raise ConfigurationError("fault_handling_latency_ns must be >= 0")
-        if self.fault_batch_limit < 0:
-            raise ConfigurationError("fault_batch_limit must be >= 0")
-        if self.page_walk_model not in ("fixed", "radix"):
-            raise ConfigurationError(
-                "page_walk_model must be 'fixed' or 'radix'"
-            )
-        if self.radix_cycles_per_level <= 0:
-            raise ConfigurationError("radix_cycles_per_level must be > 0")
-        if self.pwc_entries <= 0:
-            raise ConfigurationError("pwc_entries must be > 0")
-        if self.l2_capacity_pages <= 0 or self.l2_ways <= 0:
-            raise ConfigurationError("L2 capacity and ways must be > 0")
         if self.l2_capacity_pages % self.l2_ways:
             raise ConfigurationError(
                 "l2_capacity_pages must be a multiple of l2_ways"
             )
-        if self.l2_miss_cycles < 0:
-            raise ConfigurationError("l2_miss_cycles must be >= 0")
-        if not 0.0 <= self.free_page_buffer_fraction < 1.0:
-            raise ConfigurationError(
-                "free_page_buffer_fraction must be in [0, 1)"
-            )
-        if not 0.0 <= self.lru_reservation_fraction < 1.0:
-            raise ConfigurationError(
-                "lru_reservation_fraction must be in [0, 1)"
-            )
+        for name in ("free_page_buffer_fraction", "lru_reservation_fraction"):
+            if getattr(self, name) >= 1.0:
+                raise ConfigurationError(f"{name} must be in [0, 1)")
         if not 0.0 < self.tbn_threshold < 1.0:
             raise ConfigurationError("tbn_threshold must be in (0, 1)")
-        # ``random.Random`` silently accepts strings/floats, which would
-        # make a mistyped seed change results instead of erroring — and
-        # job specs arrive as untyped JSON (repro.serve), so be strict.
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigurationError(
-                f"seed must be an integer, got {self.seed!r}"
-            )
-        if self.fault_profile is not None:
-            from .faultinject.profile import FaultProfile
-            if isinstance(self.fault_profile, dict):
-                self.fault_profile = \
-                    FaultProfile.from_dict(self.fault_profile)
-            elif isinstance(self.fault_profile, FaultProfile):
-                self.fault_profile.validate()
-            else:
-                raise ConfigurationError(
-                    "fault_profile must be a FaultProfile, a dict of its "
-                    f"fields, or None, got {type(self.fault_profile)}"
-                )
-        for name in ("watchdog_interval_events",
-                     "watchdog_no_progress_ticks"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
-                raise ConfigurationError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
-        if self.watchdog_sim_time_budget_ns is not None \
-                and self.watchdog_sim_time_budget_ns <= 0:
+        if self.watchdog_sim_time_budget_ns == 0:
             raise ConfigurationError(
                 "watchdog_sim_time_budget_ns must be positive or None"
             )
-        if not isinstance(self.invariant_check_ticks, int) \
-                or self.invariant_check_ticks < 0:
-            raise ConfigurationError(
-                "invariant_check_ticks must be a non-negative integer"
+        # Lazy import: the policy registries live below config in the
+        # import graph.
+        from .policy.registry import (  # noqa: PLC0415
+            pair_supports_fastpath,
+            policy_class,
+        )
+        policy_class(self.prefetcher, "prefetch")
+        policy_class(self.eviction, "evict")
+        if self.engine == "fast" \
+                and not pair_supports_fastpath(self.prefetcher, self.eviction):
+            raise SimulationError(
+                f"engine='fast' is not supported with "
+                f"prefetcher={self.prefetcher!r} / "
+                f"eviction={self.eviction!r}: a selected policy "
+                f"declares supports_fastpath=False; use "
+                f"engine='reference'"
             )
-        for name in ("access_trace_stride", "timeline_stride"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
-                raise ConfigurationError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
-        for name in ("access_trace_cap", "timeline_cap",
-                     "trace_max_events"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ConfigurationError(
-                    f"{name} must be a non-negative integer, got {value!r}"
-                )
-        # Policy names resolve against the registries (PolicyError lists
-        # the known names), and the fast engine is refused up front for
-        # policies that did not declare byte-identical batched-access
-        # equivalence.  Lazy imports: the registries live below config in
-        # the import graph (same pattern as FaultProfile above).
-        from .core.evict import EVICTION_REGISTRY  # noqa: PLC0415
-        from .core.prefetch import PREFETCHER_REGISTRY  # noqa: PLC0415
-        from .errors import PolicyError, SimulationError  # noqa: PLC0415
-        if self.prefetcher not in PREFETCHER_REGISTRY:
-            known = ", ".join(sorted(PREFETCHER_REGISTRY))
-            raise PolicyError(
-                f"unknown prefetcher {self.prefetcher!r}; known: {known}"
-            )
-        if self.eviction not in EVICTION_REGISTRY:
-            known = ", ".join(sorted(EVICTION_REGISTRY))
-            raise PolicyError(
-                f"unknown eviction policy {self.eviction!r}; "
-                f"known: {known}"
-            )
-        if self.engine == "fast":
-            from .policy.registry import \
-                pair_supports_fastpath  # noqa: PLC0415
-            if not pair_supports_fastpath(self.prefetcher, self.eviction):
-                raise SimulationError(
-                    f"engine='fast' is not supported with "
-                    f"prefetcher={self.prefetcher!r} / "
-                    f"eviction={self.eviction!r}: a selected policy "
-                    f"declares supports_fastpath=False; use "
-                    f"engine='reference'"
-                )
 
     @property
     def pages_per_block(self) -> int:
@@ -336,55 +253,7 @@ class SimulatorConfig:
             return None
         return self.device_memory_bytes // self.page_size
 
-    def replace(self, **changes: object) -> "SimulatorConfig":
-        """Return a validated copy with ``changes`` applied."""
-        return dataclasses.replace(self, **changes)
-
-    # --- serialization / content addressing --------------------------------
-    def to_dict(self) -> dict:
-        """Every field as plain JSON-able values.
-
-        ``fault_profile`` flattens to its field dict and the
-        ``pcie_calibration`` keys become strings (JSON objects only have
-        string keys); :meth:`from_dict` reverses both, so
-        ``SimulatorConfig.from_dict(config.to_dict()) == config``.
-        """
-        out: dict[str, object] = {}
-        for spec in dataclasses.fields(self):
-            value = getattr(self, spec.name)
-            if spec.name == "fault_profile":
-                out[spec.name] = None if value is None else value.to_dict()
-            elif spec.name == "pcie_calibration":
-                out[spec.name] = None if value is None else {
-                    str(size): float(bandwidth)
-                    for size, bandwidth in sorted(value.items())
-                }
-            else:
-                out[spec.name] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimulatorConfig":
-        """Rebuild (and re-validate) a config from :meth:`to_dict` output."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"config data must be a dict, got {type(data).__name__}"
-            )
-        known = {spec.name for spec in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown SimulatorConfig fields: {', '.join(unknown)}"
-            )
-        fields = dict(data)
-        calibration = fields.get("pcie_calibration")
-        if calibration is not None:
-            fields["pcie_calibration"] = {
-                int(size): float(bandwidth)
-                for size, bandwidth in calibration.items()
-            }
-        return cls(**fields)  # fault_profile dicts are coerced by validate
-
+    # --- content addressing ----------------------------------------------
     def cache_key(self) -> str:
         """Stable content hash of this configuration.
 

@@ -26,13 +26,14 @@ cache-entry corruption, journal truncation — into the
 :class:`~repro.faultinject.cluster.ClusterFaultProfile` injects
 *cluster-level* faults — whole-shard SIGKILL, heartbeat stalls, ring
 churn — into a multi-host ``repro serve`` cluster; ``repro chaos``
-(:mod:`repro.chaos`) drives either.  All three share one base,
-:class:`~repro.faultinject.profile.Profile`.
+(:mod:`repro.chaos`) drives either.  All three derive from
+:class:`~repro.options.Options`, the typed-options base they share with
+:class:`~repro.config.SimulatorConfig`.
 """
 
 from .cluster import CLUSTER_PROFILES, ClusterFaultProfile
 from .injector import FaultInjector
-from .profile import PROFILES, FaultProfile, Profile
+from .profile import PROFILES, FaultProfile
 from .service import SERVICE_PROFILES, ServiceFaultProfile
 from .watchdog import Watchdog
 
@@ -42,7 +43,6 @@ __all__ = [
     "FaultInjector",
     "FaultProfile",
     "PROFILES",
-    "Profile",
     "SERVICE_PROFILES",
     "ServiceFaultProfile",
     "Watchdog",

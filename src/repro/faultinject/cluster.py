@@ -29,11 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .profile import Profile
+from ..options import Options
 
 
 @dataclass(frozen=True)
-class ClusterFaultProfile(Profile):
+class ClusterFaultProfile(Options):
     """What goes wrong at the cluster layer, deterministically."""
 
     #: SIGKILL this many shard processes mid-wave (0 disables).

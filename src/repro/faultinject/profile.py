@@ -1,158 +1,26 @@
 """Fault-injection profiles.
 
-:class:`Profile` is the one base of every profile type in this package;
-its validation, loading and dict round trip follow the field annotations.
-A :class:`FaultProfile` is a frozen, validated bundle of injection rates
-(what goes wrong, how often) and resilience policy (how the driver fights
-back).  Profiles are deterministic: the same profile and seed produce the
-same injected fault sequence on every run, which is what makes resilience
-experiments reproducible.
+Every profile type in this package derives from
+:class:`~repro.options.Options`, whose validation, loading and dict
+round trip follow the field annotations.  A :class:`FaultProfile` is a
+frozen, validated bundle of injection rates (what goes wrong, how often)
+and resilience policy (how the driver fights back).  Profiles are
+deterministic: the same profile and seed produce the same injected fault
+sequence on every run, which is what makes resilience experiments
+reproducible.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import functools
-import json
-import math
-import typing
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 from ..errors import ConfigurationError
-
-
-@functools.cache
-def _field_types(cls: type) -> dict[str, object]:
-    hints = typing.get_type_hints(cls)
-    return {spec.name: hints[spec.name] for spec in dataclasses.fields(cls)}
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _parse(hint: object, key: str, text: str) -> object:
-    """One inline ``key=value`` value; ``a+b`` lists a tuple field."""
-    try:
-        if hint == tuple[int, ...]:
-            return tuple(int(part) for part in text.split("+") if part)
-        try:
-            return int(text)
-        except ValueError:
-            return float(text)
-    except ValueError:
-        raise ConfigurationError(
-            f"{key}={text!r} is not a number") from None
+from ..options import Options
 
 
 @dataclass(frozen=True)
-class Profile:
-    """Base of the frozen, seeded profile dataclasses.
-
-    A subclass declares its fields, its decisions and its own ranges
-    (extending :meth:`validate`); the base does the rest.
-    """
-
-    #: Named instances :meth:`load` resolves (set after each subclass).
-    named: ClassVar[dict[str, "Profile"]] = {}
-    #: What error messages call this profile type.
-    kind: ClassVar[str] = "profile"
-
-    def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on an ill-typed field: ``int``
-        fields are non-negative ints (``seed`` any int), ``float`` fields
-        finite and ``>= 0``, and ``bool`` never passes for a number."""
-        for name, hint in _field_types(type(self)).items():
-            value = getattr(self, name)
-            if hint is int:
-                ok = _is_int(value) and (value >= 0 or name == "seed")
-                want = "an int" if name == "seed" else "a non-negative int"
-            elif hint is float:
-                ok = (_is_int(value) or isinstance(value, float)) \
-                    and math.isfinite(value) and value >= 0
-                want = "a finite number >= 0"
-            else:  # tuple[int, ...]
-                ok = isinstance(value, tuple) \
-                    and all(_is_int(item) for item in value)
-                want = "a tuple of ints"
-            if not ok:
-                raise ConfigurationError(
-                    f"{self.kind} {name} must be {want}, got {value!r}")
-
-    def replace(self, **changes: object) -> "Profile":
-        """Validated copy with ``changes`` applied."""
-        return dataclasses.replace(self, **changes)
-
-    @classmethod
-    def from_dict(cls, fields: object) -> "Profile":
-        """Build (and validate) a profile from plain JSON-able fields."""
-        if not isinstance(fields, dict):
-            raise ConfigurationError(
-                f"{cls.kind} must be a JSON object, got "
-                f"{type(fields).__name__}")
-        unknown = set(fields) - set(_field_types(cls))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown {cls.kind} fields: {sorted(unknown)}")
-        return cls(**{name: tuple(value) if isinstance(value, list)
-                      else value for name, value in fields.items()})
-
-    def to_dict(self) -> dict:
-        return {name: list(value) if isinstance(value, tuple) else value
-                for name, value in dataclasses.asdict(self).items()}
-
-    @classmethod
-    def load(cls, spec: "str | dict | Profile",
-             seed: int | None = None) -> "Profile":
-        """Resolve a CLI/user spec into a validated profile.
-
-        ``spec`` may be an instance, a dict of fields, a name from
-        :attr:`named`, an inline ``key=value[,key=value...]`` string, or
-        a JSON file path.  ``seed`` overrides the profile's seed when
-        given.
-        """
-        if isinstance(spec, cls):
-            profile = spec
-        elif isinstance(spec, dict):
-            profile = cls.from_dict(spec)
-        elif spec in cls.named:
-            profile = cls.named[spec]
-        elif "=" in spec:
-            types = _field_types(cls)
-            fields: dict[str, object] = {}
-            for pair in spec.split(","):
-                key, sep, value = pair.partition("=")
-                key, value = key.strip(), value.strip()
-                if not sep:
-                    raise ConfigurationError(
-                        f"bad {cls.kind} assignment {pair!r}")
-                fields[key] = _parse(types[key], key, value) \
-                    if key in types else value
-            profile = cls.from_dict(fields)
-        elif Path(spec).is_file():
-            try:
-                fields = json.loads(Path(spec).read_text())
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"{cls.kind} file {spec!r} is not JSON: {exc}") from None
-            profile = cls.from_dict(fields)
-        else:
-            raise ConfigurationError(
-                f"{cls.kind} {spec!r} is neither a named profile "
-                f"({', '.join(sorted(cls.named))}), a key=value list, nor "
-                "a JSON file")
-        if seed is not None and seed != profile.seed:
-            profile = profile.replace(seed=seed)
-        return profile
-
-
-@dataclass(frozen=True)
-class FaultProfile(Profile):
+class FaultProfile(Options):
     """What to inject, and how the driver is allowed to recover.
 
     All rates (the ``*_rate`` fields) are per-opportunity probabilities
@@ -217,8 +85,8 @@ class FaultProfile(Profile):
 
     def _rates(self) -> dict[str, float]:
         """The injection probabilities, by field name."""
-        return {name: getattr(self, name) for name in _field_types(type(self))
-                if name.endswith("_rate")}
+        return {spec.name: getattr(self, spec.name)
+                for spec in fields(self) if spec.name.endswith("_rate")}
 
     @property
     def injects_anything(self) -> bool:

@@ -33,11 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .profile import Profile
+from ..options import Options
 
 
 @dataclass(frozen=True)
-class ServiceFaultProfile(Profile):
+class ServiceFaultProfile(Options):
     """What goes wrong at the service layer, deterministically."""
 
     #: Kill the worker (SIGKILL, no cleanup) when its per-lifetime job

@@ -34,10 +34,12 @@ import queue as queue_module
 import random
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar, Literal
 
-from .errors import BackpressureError, ReproError, ServeClientError
+from .errors import BackpressureError, ConfigurationError, ServeClientError
+from .options import Options
 from .serve.client import DEFAULT_PORT, ServeClient
 
 #: BENCH_serve.json schema version.
@@ -47,11 +49,9 @@ BENCH_FORMAT = 1
 #: measurements and whatever depends on them).
 VOLATILE_REPORT_FIELDS = ("measured",)
 
-PATTERNS = ("zipf", "unique")
-
 
 @dataclass(frozen=True)
-class LoadgenPlan:
+class LoadgenPlan(Options):
     """The deterministic half of a load test.
 
     ``pattern="zipf"`` draws each arrival's config rank from a zipf
@@ -70,30 +70,18 @@ class LoadgenPlan:
     scale: float = 0.08
     distinct: int = 8
     zipf_s: float = 1.1
-    pattern: str = "zipf"
+    pattern: Literal["zipf", "unique"] = "zipf"
     prefetcher: str | None = None
     eviction: str | None = None
     timeout: float = 120.0
 
-    def validate(self) -> None:
-        if self.duration <= 0:
-            raise ReproError(f"duration must be > 0, got {self.duration}")
-        if self.rate <= 0:
-            raise ReproError(f"rate must be > 0, got {self.rate}")
-        if self.distinct < 1:
-            raise ReproError(f"distinct must be >= 1, got {self.distinct}")
-        if self.concurrency < 1:
-            raise ReproError(
-                f"concurrency must be >= 1, got {self.concurrency}")
-        if self.zipf_s < 0:
-            raise ReproError(f"zipf_s must be >= 0, got {self.zipf_s}")
-        if self.pattern not in PATTERNS:
-            raise ReproError(
-                f"pattern must be one of {PATTERNS}, got "
-                f"{self.pattern!r}")
+    kind: ClassVar[str] = "load plan"
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    def validate(self) -> None:
+        super().validate()
+        for name in ("duration", "rate", "concurrency", "distinct"):
+            if not getattr(self, name):
+                raise ConfigurationError(f"{name} must be > 0")
 
     # --- the deterministic trace -------------------------------------------
     def weights(self) -> list[float]:
@@ -181,7 +169,6 @@ def run_loadgen(plan: LoadgenPlan, host: str = "127.0.0.1",
     report's ``measured`` block grows a ``cluster`` section with
     routing/steal/failover counts and the per-shard submission spread.
     """
-    plan.validate()
     client = client or ServeClient(host=host, port=port,
                                    timeout=plan.timeout,
                                    backpressure_retries=0)

@@ -63,8 +63,9 @@ def build_cell(spec: object) -> SweepCell:
     ``spec`` must be ``{"workload": <name or dict>, "config": <dict,
     optional>, "seed": <int, optional>}``.  The workload name must be
     registered; the config dict round-trips through
-    :meth:`SimulatorConfig.from_dict` (unknown fields and inconsistent
-    values rejected there); a top-level ``seed`` overrides
+    :meth:`SimulatorConfig.from_dict` (unknown fields, fields their
+    annotations do not admit and inconsistent values rejected there, by
+    name); a top-level ``seed`` overrides
     ``config["seed"]``.  Raises :class:`InvalidJobError` with a message
     safe to echo back to the client.
     """

@@ -51,6 +51,7 @@ class TestCli:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "tbn" in out and "hotspot" in out
+        assert "learned   : bandit, logistic, ngram" in out
 
     def test_run_prints_counters(self, capsys):
         assert main(["run", "pathfinder", "--scale", "0.1"]) == 0
@@ -64,6 +65,19 @@ class TestCli:
                      "--keep-prefetching"])
         assert code == 0
         assert "pages_evicted" in capsys.readouterr().out
+
+    def test_run_with_fault_profile_prints_resilience(self, capsys):
+        assert main(["run", "bfs", "--scale", "0.1",
+                     "--oversubscription", "110", "--eviction", "tbn",
+                     "--fault-profile", "moderate"]) == 0
+        assert "resilience counter" in capsys.readouterr().out
+
+    def test_faults_sweeps_the_injection_rates(self, capsys):
+        assert main(["faults", "bfs", "--scale", "0.1",
+                     "--rates", "0", "0.2"]) == 0
+        out = capsys.readouterr().out
+        assert "0.00" in out and "0.20" in out
+        assert "FAILED" not in out
 
     def test_experiment_table1(self, capsys, tmp_path):
         code = main(["experiment", "table1", "--out", str(tmp_path),

@@ -434,6 +434,28 @@ class TestCoordinatorRouting:
         assert result["id"] == job["id"]
         assert result["result"]["stats"]["executed_on"] == job["shard"]
 
+    def test_status_racing_result_keeps_the_pinned_state(self):
+        """A ``running`` reply that races a ``result()`` call must not
+        revive the job that call just pinned as done."""
+        cluster = FakeCluster(auto_done=False)
+        coordinator = cluster.coordinator
+        job = coordinator.submit(spec_for(1))
+        shard = cluster.shards[job["shard"]]
+        remote = shard.jobs[job["remote_id"]]
+        remote["state"] = "running"
+        answer = shard.status
+
+        def racing_status(remote_id):
+            reply = answer(remote_id)
+            remote["state"] = "done"
+            assert coordinator.result(job["id"])["state"] == "done"
+            return reply
+
+        shard.status = racing_status
+        assert coordinator.status(job["id"])["state"] == "done"
+        assert coordinator.status(job["id"])["state"] == "done"
+        assert [row["state"] for row in coordinator.jobs()] == ["done"]
+
     def test_invalid_spec_rejected_before_routing(self):
         cluster = FakeCluster()
         from repro.errors import InvalidJobError
@@ -441,6 +463,23 @@ class TestCoordinatorRouting:
             cluster.coordinator.submit({"workload": {"name": "nope"}})
         assert all(not shard.jobs
                    for shard in cluster.shards.values())
+
+
+class TestCoordinatorMembership:
+    @pytest.mark.parametrize("route, body", [
+        ("register", {"id": "s9", "host": "fake", "port": "abc"}),
+        ("register", {"id": "s9", "host": "fake", "port": 9009,
+                      "workers": None}),
+        ("heartbeat", {"id": "s0", "queue_depth": "x"}),
+    ], ids=["port", "workers", "queue_depth"])
+    def test_malformed_membership_body_is_invalid_job(self, route, body):
+        from repro.errors import InvalidJobError
+        cluster = FakeCluster()
+        field = [name for name in body if name not in ("id", "host")][-1]
+        with pytest.raises(InvalidJobError, match=field):
+            getattr(cluster.coordinator, route)(body)
+        assert "s9" not in {shard.id for shard
+                            in cluster.coordinator.registry.alive()}
 
 
 class TestCoordinatorFailover:

@@ -134,6 +134,20 @@ class TestConfigValidation:
             make_simulator(config, prefetcher=NGramPrefetcher())
 
 
+class TestLearnedTable:
+    def test_tiny_table_runs_every_pairing(self):
+        from repro.experiments.extension_learned import (
+            HAND_BUILT,
+            learned_table,
+        )
+        results = learned_table(0.1, workload_names=("gemm",),
+                                percents=(110.0,))
+        labels = {label for label, *_ in HAND_BUILT + LEARNED_PAIRINGS}
+        assert set(results) == {(label, 110.0) for label in labels}
+        assert all(per["gemm"].total_kernel_time_ns > 0
+                   for per in results.values())
+
+
 class TestSeededDeterminism:
     @pytest.mark.parametrize(
         "label,prefetcher,eviction,keep", list(LEARNED_PAIRINGS),

@@ -2,8 +2,8 @@
 
 The expensive double-run determinism checks carry the ``trace`` marker
 (excluded from the default tier-1 run, like ``slow``); everything else is
-cheap and runs by default.  ``scripts/smoke_obs.sh`` runs this module with
-markers cleared.
+cheap and runs by default.  CI's ``marked-tests`` job runs the
+``trace``-marked checks.
 """
 
 import json
@@ -465,3 +465,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "stall attribution" in out
         assert "slowest fault batches" in out
+
+    def test_report_command_with_fault_profile(self, capsys):
+        from repro.cli import main
+        assert main(["report", "bfs", "--scale", "0.1",
+                     "--oversubscription", "110", "--eviction", "tbn",
+                     "--top", "3", "--fault-profile", "moderate"]) == 0
+        out = capsys.readouterr().out
+        assert "retry backoff" in out
+        assert "injected perturbations:" in out

@@ -56,6 +56,22 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             config.replace(num_sms=0)
 
+    def test_config_is_frozen(self):
+        import dataclasses
+        config = SimulatorConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.num_sms = 2
+
+    def test_fields_are_checked_against_their_annotations(self):
+        from repro.faultinject import FaultProfile
+        config = SimulatorConfig(fault_profile={"transfer_fault_rate": 0.1})
+        assert config.fault_profile == FaultProfile(transfer_fault_rate=0.1)
+        for bad in ({"engine": "turbo"}, {"page_walk_model": "hashed"},
+                    {"check_invariants_on_completion": "yes"},
+                    {"fault_profile": "moderate"}, {"prefetcher": 3}):
+            with pytest.raises(ConfigurationError, match=next(iter(bad))):
+                SimulatorConfig(**bad)
+
     def test_derived_properties(self):
         config = SimulatorConfig(device_memory_bytes=2 * MIB)
         assert config.pages_per_block == 16

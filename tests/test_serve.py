@@ -400,6 +400,19 @@ class TestJournal:
         assert (journal.quarantine_dir / "worker-0-zz-torn.json").is_file()
 
 
+#: Config fields of the wrong type that the daemon once accepted (and
+#: then simulated something else) or crashed on.
+ILL_TYPED_CONFIG_FIELDS = [
+    ("batch_fault_handling", "false"),
+    ("tlb_entries", True),
+    ("fault_batch_limit", 1.5),
+    ("l2_enabled", 1),
+    ("trace", "false"),
+    ("fault_handling_latency_ns", float("nan")),
+    ("pcie_calibration", {"4096": "x"}),
+]
+
+
 class TestBuildCell:
     def test_valid_spec(self):
         built = build_cell({"workload": {"name": "hotspot",
@@ -431,6 +444,13 @@ class TestBuildCell:
     def test_seed_must_be_integral_in_config_too(self):
         with pytest.raises(ConfigurationError):
             SimulatorConfig(seed="abc")
+
+    @pytest.mark.parametrize(
+        "field, value", ILL_TYPED_CONFIG_FIELDS,
+        ids=[field for field, _ in ILL_TYPED_CONFIG_FIELDS])
+    def test_ill_typed_config_field_is_rejected_by_name(self, field, value):
+        with pytest.raises(InvalidJobError, match=field):
+            build_cell({"workload": "hotspot", "config": {field: value}})
 
 
 class TestClientConnectRetries:
@@ -992,6 +1012,16 @@ class TestHttpApi:
         assert excinfo.value.status == 400
         assert excinfo.value.payload["error"]["type"] == \
             "InvalidJobError"
+
+    def test_ill_typed_calibration_is_400_not_a_dropped_connection(
+            self, http_service):
+        _, _, client = http_service
+        with pytest.raises(ServeClientError) as excinfo:
+            client.submit("hotspot",
+                          config={"pcie_calibration": {"4096": "x"}})
+        assert excinfo.value.status == 400
+        assert "pcie_calibration" in \
+            excinfo.value.payload["error"]["message"]
 
     def test_backpressure_coalescing_and_cancel(self, http_service):
         service, runner, client = http_service

@@ -199,6 +199,19 @@ class TestExecutor:
         assert report.executed == 0
         assert report.cached == len(TINY)
 
+    def test_warm_experiment_executes_nothing_and_prints_the_same(
+            self, tmp_path, capsys):
+        from repro.cli import main
+        argv = ["experiment", "fig11", "--scale", str(SCALE),
+                "--cache-dir", str(tmp_path / "runcache")]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        assert main(argv) == 0
+        warm = capsys.readouterr()
+        assert "[sweep] 0 simulation(s) executed" in warm.err
+        assert "[sweep] 0 simulation(s) executed" not in cold.err
+        assert warm.out == cold.out
+
     @pytest.mark.sweep
     def test_parallel_matches_serial(self):
         cells = tiny_cells()

@@ -426,6 +426,17 @@ class TestCli:
         assert "110% oversubscribed" in out
         assert str(cards / "gemm.json") in out
 
+        # Warm rerun into another directory: all from cache, same card.
+        warm_cards = tmp_path / "warm"
+        warm_argv = list(argv)
+        warm_argv[argv.index("--out") + 1] = str(warm_cards)
+        assert main(warm_argv) == 0
+        warm = capsys.readouterr()
+        assert "[tune] 0 simulation(s) executed" in warm.err
+        assert (warm_cards / "gemm.json").read_bytes() == \
+            (cards / "gemm.json").read_bytes()
+        assert warm.out.replace(str(warm_cards), str(cards)) == out
+
         assert main(["recommend", "gemm", "--cards-dir", str(cards),
                      "--oversubscription", "110"]) == 0
         out = capsys.readouterr().out
