@@ -1060,15 +1060,16 @@ def cmd_submit(args: argparse.Namespace) -> int:
     else:
         client = ServeClient(host=args.host, port=args.port)
     spec = {"name": args.workload, "scale": args.scale}
-    job = client.submit(spec, config=config.to_dict())
-    coalesced = " (coalesced into an active job)" if job.get("coalesced") \
-        else ""
-    print(f"[serve] job {job['id']} {job['state']}{coalesced}",
-          file=sys.stderr)
-    if args.no_wait:
-        print(job["id"])
-        return 0
-    outcome = client.wait(job["id"], timeout=args.timeout)
+    with client:
+        job = client.submit(spec, config=config.to_dict())
+        coalesced = " (coalesced into an active job)" \
+            if job.get("coalesced") else ""
+        print(f"[serve] job {job['id']} {job['state']}{coalesced}",
+              file=sys.stderr)
+        if args.no_wait:
+            print(job["id"])
+            return 0
+        outcome = client.wait(job["id"], timeout=args.timeout)
     print(f"[serve] job {job['id']} {outcome['state']}, "
           f"cache_hit: {'true' if outcome['cache_hit'] else 'false'}",
           file=sys.stderr)
@@ -1087,9 +1088,10 @@ def _fleet_endpoints(args: argparse.Namespace) -> list:
 
     endpoints = []
     if args.cluster is not None:
-        coordinator = ServeClient.from_url(args.cluster,
-                                           timeout=args.timeout)
-        for shard in coordinator.cluster_shards()["shards"]:
+        with ServeClient.from_url(args.cluster,
+                                  timeout=args.timeout) as coordinator:
+            shards = coordinator.cluster_shards()["shards"]
+        for shard in shards:
             if shard["state"] != "alive":
                 continue
             endpoints.append((
@@ -1124,37 +1126,39 @@ def cmd_jobs(args: argparse.Namespace) -> int:
         else:
             client = ServeClient(host=args.host, port=args.port,
                                  timeout=args.timeout)
-        if args.cancel:
-            if args.job_id is None:
-                raise SystemExit("jobs --cancel needs a job id")
-            status = client.cancel(args.job_id)
-            print(f"{status['id']}: {status['state']}")
-            return 0
-        print(json.dumps(client.status(args.job_id), sort_keys=True,
-                         indent=2))
+        with client:
+            if args.cancel:
+                if args.job_id is None:
+                    raise SystemExit("jobs --cancel needs a job id")
+                status = client.cancel(args.job_id)
+                print(f"{status['id']}: {status['state']}")
+                return 0
+            print(json.dumps(client.status(args.job_id), sort_keys=True,
+                             indent=2))
         return 0
     if args.cluster is not None:
         # The coordinator's own table first: cluster job ids with the
         # shard each one currently lives on.
-        coordinator = ServeClient.from_url(args.cluster,
-                                           timeout=args.timeout)
-        rows = [
-            [job["id"], job["state"], job["workload"],
-             job.get("shard", "-")]
-            for job in coordinator.jobs()
-        ]
+        with ServeClient.from_url(args.cluster,
+                                  timeout=args.timeout) as coordinator:
+            rows = [
+                [job["id"], job["state"], job["workload"],
+                 job.get("shard", "-")]
+                for job in coordinator.jobs()
+            ]
         print(format_table(
             ["job", "state", "workload", "shard"], rows,
             title=f"{len(rows)} cluster job(s) via {args.cluster}",
         ))
     for label, client in _fleet_endpoints(args):
-        rows = [
-            [job["id"], job["state"], job["workload"],
-             "-" if job["cache_hit"] is None
-             else ("hit" if job["cache_hit"] else "miss")]
-            for job in client.jobs()
-        ]
-        health = client.healthz()
+        with client:
+            rows = [
+                [job["id"], job["state"], job["workload"],
+                 "-" if job["cache_hit"] is None
+                 else ("hit" if job["cache_hit"] else "miss")]
+                for job in client.jobs()
+            ]
+            health = client.healthz()
         print(format_table(
             ["job", "state", "workload", "cache"], rows,
             title=f"{len(rows)} job(s) on {label} "
@@ -1191,10 +1195,9 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     if args.cluster is not None:
         from .serve import ServeClient
 
-        coordinator = ServeClient.from_url(args.cluster,
-                                           timeout=plan.timeout,
-                                           backpressure_retries=0)
-        report = run_loadgen(plan, client=coordinator, cluster=True)
+        with ServeClient.from_url(args.cluster, timeout=plan.timeout,
+                                  backpressure_retries=0) as coordinator:
+            report = run_loadgen(plan, client=coordinator, cluster=True)
     else:
         report = run_loadgen(plan, host=args.host, port=args.port)
     path = write_report(report, args.out)
@@ -1206,7 +1209,8 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     if args.trace_out is not None:
         from .serve import ServeClient
 
-        trace = ServeClient(host=args.host, port=args.port).trace()
+        with ServeClient(host=args.host, port=args.port) as client:
+            trace = client.trace()
         trace_path = Path(args.trace_out)
         trace_path.parent.mkdir(parents=True, exist_ok=True)
         trace_path.write_text(json.dumps(
@@ -1278,12 +1282,12 @@ def cmd_tune(args: argparse.Namespace) -> int:
         from .serve import ServeClient
 
         host, port = parse_server_url(args.via_server)
-        client = ServeClient(host=host, port=port)
-        card = tune_workload(
-            request,
-            evaluator=ServerEvaluator(client,
-                                      timeout=args.server_timeout),
-        )
+        with ServeClient(host=host, port=port) as client:
+            card = tune_workload(
+                request,
+                evaluator=ServerEvaluator(client,
+                                          timeout=args.server_timeout),
+            )
         print(f"[tune] evaluated via http://{host}:{port}",
               file=sys.stderr)
     else:

@@ -123,3 +123,4 @@ class ShardAgent:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+        self.client.close()

@@ -181,6 +181,8 @@ class ClusterCoordinator:
         #: key -> active (non-terminal) routed job; cluster coalescing.
         self._active_by_key: dict[str, RoutedJob] = {}
         self._seq = itertools.count(1)
+        #: shard id -> ((host, port), client), see :meth:`_client`.
+        self._clients: dict[str, tuple[tuple[str, int], ServeClient]] = {}
 
         metrics = MetricsRegistry()
         self.metrics = metrics
@@ -214,7 +216,28 @@ class ClusterCoordinator:
 
     # --- plumbing ----------------------------------------------------------
     def _client(self, shard: ShardInfo) -> ServeClient:
-        return self._client_factory(shard.host, shard.port)
+        """The shard's client, kept across calls so its connections
+        stay alive; a shard that re-registered elsewhere gets a new
+        one."""
+        address = (shard.host, shard.port)
+        with self._lock:
+            held = self._clients.get(shard.id)
+            if held is not None and held[0] == address:
+                return held[1]
+            client = self._client_factory(*address)
+            self._clients[shard.id] = (address, client)
+        if held is not None:
+            held[1].close()
+        return client
+
+    def close_clients(self, shard_id: str | None = None) -> None:
+        """Close one shard's client (every shard's when ``None``)."""
+        with self._lock:
+            ids = list(self._clients) if shard_id is None else [shard_id]
+            held = [self._clients.pop(key) for key in ids
+                    if key in self._clients]
+        for _, client in held:
+            client.close()
 
     def _event(self, kind: str, job: RoutedJob | None = None,
                shard: str | None = None,
@@ -476,6 +499,7 @@ class ClusterCoordinator:
         if not shard.alive:
             return
         self.registry.mark_dead(shard_id)
+        self.close_clients(shard_id)
         self._m_dead.inc()
         self._event("shard_dead", shard=shard_id,
                     detail=reason or "unreachable")
@@ -862,6 +886,7 @@ class CoordinatorServer:
 
     def close(self) -> None:
         self.coordinator.stop_maintenance()
+        self.coordinator.close_clients()
         self.httpd.server_close()
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=5.0)

@@ -169,9 +169,10 @@ def run_loadgen(plan: LoadgenPlan, host: str = "127.0.0.1",
     report's ``measured`` block grows a ``cluster`` section with
     routing/steal/failover counts and the per-shard submission spread.
     """
-    client = client or ServeClient(host=host, port=port,
-                                   timeout=plan.timeout,
-                                   backpressure_retries=0)
+    if client is None:
+        with ServeClient(host=host, port=port, timeout=plan.timeout,
+                         backpressure_retries=0) as owned:
+            return run_loadgen(plan, client=owned, cluster=cluster)
     health = client.healthz()
     cluster_before = cluster_after = None
     if cluster:
@@ -516,9 +517,9 @@ def render_top(health: dict, metrics: dict,
 def fetch_top(host: str = "127.0.0.1", port: int = DEFAULT_PORT,
               timeout: float = 10.0) -> str:
     """One rendered frame from a live daemon."""
-    client = ServeClient(host=host, port=port, timeout=timeout)
-    return render_top(client.healthz(), client.metrics(),
-                      host=host, port=port)
+    with ServeClient(host=host, port=port, timeout=timeout) as client:
+        return render_top(client.healthz(), client.metrics(),
+                          host=host, port=port)
 
 
 def render_cluster_top(url: str, health: dict, shards: dict,
@@ -574,7 +575,7 @@ def render_cluster_top(url: str, health: dict, shards: dict,
 
 def fetch_cluster_top(url: str, timeout: float = 10.0) -> str:
     """One rendered cluster frame from a live coordinator."""
-    client = ServeClient.from_url(url, timeout=timeout)
-    return render_cluster_top(url, client.healthz(),
-                              client.cluster_shards(),
-                              client.cluster_metrics())
+    with ServeClient.from_url(url, timeout=timeout) as client:
+        return render_cluster_top(url, client.healthz(),
+                                  client.cluster_shards(),
+                                  client.cluster_metrics())

@@ -131,6 +131,9 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    #: TCP_NODELAY on the accepted socket: a kept-alive client must not
+    #: wait out Nagle's algorithm for each response.
+    disable_nagle_algorithm = True
     #: Overridden per bound handler class (``make_handler``-style).
     verbose = False
 
@@ -153,22 +156,30 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_json(self) -> object:
+    def _read_body(self) -> bytes:
+        """The whole request body, read before routing so that no
+        route leaves an unread body on a kept-alive connection."""
         length = int(self.headers.get("Content-Length") or 0)
         if length > MAX_BODY_BYTES:
+            # The unread body would be parsed as the next request.
+            self.close_connection = True
             raise InvalidJobError(
                 f"request body too large ({length} bytes)"
             )
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
+        return self.rfile.read(length) if length else b""
+
+    def _read_json(self) -> object:
+        if not self._body:
             raise InvalidJobError("request body must be JSON")
         try:
-            return json.loads(raw)
+            return json.loads(self._body)
         except ValueError as exc:
             raise InvalidJobError(
                 f"request body is not valid JSON: {exc}"
@@ -196,6 +207,7 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         parts = [part for part in split.path.split("/") if part]
         self._query = parse_qs(split.query)
         try:
+            self._body = self._read_body()
             self._route(parts)
         except InvalidJobError as exc:
             self._send(400, error_payload(exc))

@@ -13,6 +13,15 @@ executing in-process::
     outcome = client.wait(job["id"])          # long-polls until terminal
     stats_dict = outcome["result"]["stats"]   # SimStats.to_json_dict()
 
+Each calling thread keeps one HTTP/1.1 connection open across its
+requests, with ``TCP_NODELAY`` set on both ends: with Nagle's algorithm
+on, a kept-alive request's second segment waits for the peer's delayed
+ACK, about 40 ms per request on Linux.  A kept-alive connection the
+server closed while it sat idle fails on its next request before any
+status line arrives; that request alone is sent once more on a fresh
+connection.  Call :meth:`ServeClient.close` (or use the client as a
+context manager) when dropping a client.
+
 Transport errors and non-2xx answers raise
 :class:`~repro.errors.ServeClientError`; a 429 raises the more specific
 :class:`~repro.errors.BackpressureError` carrying the server's
@@ -31,7 +40,8 @@ retried with capped exponential backoff before
 keeps the historical fail-fast behaviour: a typo'd port should not
 take ``connect_retries`` sleeps to report.  Timeouts and other
 transport errors are never retried — a request that may have *reached*
-the server is not known to be safe to repeat.
+the server is not known to be safe to repeat — beyond the one resend on
+a stale kept-alive connection above.
 
 The two retry loops share one *sleep budget* per logical call
 (``retry_budget`` seconds).  Without it the loops compounded: a
@@ -48,6 +58,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
+import threading
 import time
 
 from ..errors import BackpressureError, ServeClientError
@@ -83,7 +95,11 @@ class _RetryBudget:
 
 
 class ServeClient:
-    """Blocking JSON-over-HTTP client; one connection per request."""
+    """Blocking JSON-over-HTTP client.
+
+    Each calling thread keeps one HTTP/1.1 connection open across its
+    requests; :meth:`close` (or leaving a ``with`` block) closes them.
+    """
 
     def __init__(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT,
                  timeout: float = 30.0, backpressure_retries: int = 5,
@@ -121,6 +137,9 @@ class ServeClient:
         self.retry_budget = retry_budget
         #: Injectable for tests; every retry sleep goes through here.
         self._sleep = time.sleep
+        self._lock = threading.Lock()
+        self._connections: dict[threading.Thread,
+                                http.client.HTTPConnection] = {}
 
     @classmethod
     def from_url(cls, url: str, **kwargs) -> "ServeClient":
@@ -181,39 +200,138 @@ class ServeClient:
             else json.dumps(body).encode("utf-8")
         headers = {"Content-Type": "application/json"} if payload \
             else {}
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout)
+        response, raw = self._send(method, path, payload, headers)
+        decoded = self._decode(raw)
+        if response.status == 429:
+            retry_after = float(
+                response.getheader("Retry-After")
+                or decoded.get("retry_after") or 1.0)
+            raise BackpressureError(
+                self._error_message(response.status, decoded),
+                retry_after=retry_after, payload=decoded)
+        self._raise_for_status(response.status, decoded)
+        return decoded
+
+    def _request_text(self, path: str) -> str:
+        """One GET whose 200 body is plain text, not JSON."""
+        response, raw = self._send("GET", path)
+        if response.status >= 400:
+            self._raise_for_status(response.status, self._decode(raw))
+        return raw.decode("utf-8")
+
+    def _send(self, method: str, path: str, payload: bytes | None = None,
+              headers: dict | None = None
+              ) -> tuple[http.client.HTTPResponse, bytes]:
+        """One request and its whole response body.
+
+        ``ConnectionRefusedError``/``ConnectionResetError`` surface raw
+        so :meth:`_request` can decide to retry; every other transport
+        failure becomes a :class:`ServeClientError`.
+        """
+        try:
+            return self._exchange(method, path, payload, headers or {})
+        except (ConnectionRefusedError, ConnectionResetError):
+            raise
+        except OSError as exc:
+            raise ServeClientError(
+                f"cannot reach http://{self.host}:{self.port}: {exc}"
+            ) from None
+
+    def _exchange(self, method: str, path: str, payload: bytes | None,
+                  headers: dict) -> tuple[http.client.HTTPResponse, bytes]:
+        """Round trip on this thread's kept-alive connection.
+
+        A reused connection that fails before a status line arrives was
+        closed by the server while idle: it is reopened and the request
+        sent once more.  Once a status line has arrived nothing is
+        re-sent.  Any failure drops the connection, so the thread's next
+        request starts on a fresh one.
+        """
+        connection, reused = self._connection()
         try:
             try:
                 connection.request(method, path, body=payload,
                                    headers=headers)
                 response = connection.getresponse()
-                raw = response.read()
-            except (ConnectionRefusedError, ConnectionResetError):
-                # Surfaced raw so _request can decide to retry.
-                raise
-            except OSError as exc:
-                raise ServeClientError(
-                    f"cannot reach http://{self.host}:{self.port}: {exc}"
-                ) from None
-            try:
-                decoded = json.loads(raw) if raw else {}
-            except ValueError:
-                decoded = {"raw": raw.decode("utf-8", "replace")}
-            if response.status == 429:
-                retry_after = float(
-                    response.getheader("Retry-After")
-                    or decoded.get("retry_after") or 1.0)
-                raise BackpressureError(
-                    self._error_message(response.status, decoded),
-                    retry_after=retry_after, payload=decoded)
-            if response.status >= 400:
-                raise ServeClientError(
-                    self._error_message(response.status, decoded),
-                    status=response.status, payload=decoded)
-            return decoded
-        finally:
+            except (ConnectionResetError, ConnectionAbortedError,
+                    BrokenPipeError):
+                if not reused:
+                    raise
+                self._drop(connection)
+                connection, _ = self._connection()
+                connection.request(method, path, body=payload,
+                                   headers=headers)
+                response = connection.getresponse()
+            raw = response.read()
+        except BaseException:
+            self._drop(connection)
+            raise
+        if response.will_close:
+            self._drop(connection)
+        return response, raw
+
+    def _connection(self) -> tuple[http.client.HTTPConnection, bool]:
+        """The calling thread's connection, and whether it carried a
+        request before.  Opening one first closes those of threads
+        that have exited."""
+        thread = threading.current_thread()
+        with self._lock:
+            connection = self._connections.get(thread)
+            if connection is not None:
+                return connection, True
+            exited = [self._connections.pop(other)
+                      for other in list(self._connections)
+                      if not other.is_alive()]
+        for stale in exited:
+            stale.close()
+        connection = http.client.HTTPConnection(
+            self.host, self.port, timeout=self.timeout)
+        connection.connect()
+        # Without this a kept-alive request waits out Nagle's algorithm
+        # against the server's delayed ACK (about 40 ms on Linux).
+        connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY,
+                                   1)
+        with self._lock:
+            self._connections[thread] = connection
+        return connection, False
+
+    def _drop(self, connection: http.client.HTTPConnection) -> None:
+        with self._lock:
+            thread = threading.current_thread()
+            if self._connections.get(thread) is connection:
+                del self._connections[thread]
+        connection.close()
+
+    def close(self) -> None:
+        """Close every connection this client holds, in any thread.
+
+        The client stays usable: the next request opens a new
+        connection.
+        """
+        with self._lock:
+            connections = list(self._connections.values())
+            self._connections.clear()
+        for connection in connections:
             connection.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    @staticmethod
+    def _decode(raw: bytes) -> dict:
+        try:
+            return json.loads(raw) if raw else {}
+        except ValueError:
+            return {"raw": raw.decode("utf-8", "replace")}
+
+    @classmethod
+    def _raise_for_status(cls, status: int, decoded: dict) -> None:
+        if status >= 400:
+            raise ServeClientError(cls._error_message(status, decoded),
+                                   status=status, payload=decoded)
 
     @staticmethod
     def _error_message(status: int, payload: dict) -> str:
@@ -221,31 +339,6 @@ class ServeClient:
         detail = error.get("message") or payload.get("raw") or "?"
         kind = error.get("type", "HTTPError")
         return f"server answered {status} ({kind}): {detail}"
-
-    def _request_text(self, path: str) -> str:
-        """One GET whose 200 body is plain text, not JSON."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout)
-        try:
-            try:
-                connection.request("GET", path)
-                response = connection.getresponse()
-                raw = response.read()
-            except OSError as exc:
-                raise ServeClientError(
-                    f"cannot reach http://{self.host}:{self.port}: {exc}"
-                ) from None
-            if response.status >= 400:
-                try:
-                    decoded = json.loads(raw) if raw else {}
-                except ValueError:
-                    decoded = {"raw": raw.decode("utf-8", "replace")}
-                raise ServeClientError(
-                    self._error_message(response.status, decoded),
-                    status=response.status, payload=decoded)
-            return raw.decode("utf-8")
-        finally:
-            connection.close()
 
     # --- API surface -------------------------------------------------------
     def healthz(self) -> dict:

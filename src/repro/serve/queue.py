@@ -23,6 +23,8 @@ The :class:`JobQueue` is the admission-control heart of the service:
   (:meth:`SweepCell.cache_key`) are *the same simulation*; the second
   returns the first's live job instead of enqueueing a duplicate, so a
   thundering herd of identical what-if cells costs one execution.
+* **cache answers** — a submission that brings its run-cache result is
+  admitted already terminal, outside the bound.
 * **thread-safe** — the HTTP handler threads submit/cancel while worker
   threads :meth:`take`; one condition variable serializes every state
   change, and every change notifies *all* its waiters, because workers
@@ -187,8 +189,9 @@ class JobQueue:
         self._closed = False
 
     # --- submission --------------------------------------------------------
-    def submit(self, cell: SweepCell,
-               job_id: str | None = None) -> tuple[Job, bool]:
+    def submit(self, cell: SweepCell, job_id: str | None = None,
+               cached: SimStats | FailedRun | None = None,
+               ) -> tuple[Job, bool]:
         """Admit one cell; returns ``(job, coalesced)``.
 
         An identical active cell coalesces (``coalesced=True``, the
@@ -196,28 +199,38 @@ class JobQueue:
         :class:`QueueFullError`; a closed (draining) queue raises
         :class:`DrainingError`.  ``job_id`` pins the id during journal
         replay so clients can keep polling across a restart.
+
+        With a ``cached`` result the job is admitted already terminal
+        (``queued -> running -> done|failed`` under this one lock, as a
+        cache hit): it takes no queue slot, so a full queue never
+        refuses it, and it never coalesces.
         """
         with self._cond:
             if self._closed:
                 raise DrainingError("server is draining; not accepting "
                                     "new jobs")
-            existing = self._active_by_key.get(cell.cache_key())
-            if existing is not None:
-                return existing, True
-            if len(self._waiting) >= self.capacity:
-                raise QueueFullError(
-                    f"job queue is full ({self.capacity} waiting)",
-                    retry_after=1.0,
-                )
+            if cached is None:
+                existing = self._active_by_key.get(cell.cache_key())
+                if existing is not None:
+                    return existing, True
+                if len(self._waiting) >= self.capacity:
+                    raise QueueFullError(
+                        f"job queue is full ({self.capacity} waiting)",
+                        retry_after=1.0,
+                    )
             seq = next(self._seq)
             if job_id is None:
                 job_id = f"j{seq:06d}-{cell.cache_key()[:12]}"
             job = Job(id=job_id, cell=cell, seq=seq)
-            self._waiting.append(job)
             self._jobs[job.id] = job
-            self._active_by_key[job.key] = job
+            if cached is None:
+                self._waiting.append(job)
+                self._active_by_key[job.key] = job
+                self._cond.notify_all()
+            else:
+                job.advance(RUNNING)
+                self._finish(job, cached, cache_hit=True)
             self._prune_history()
-            self._cond.notify_all()
             return job, False
 
     def _prune_history(self) -> None:
@@ -293,11 +306,16 @@ class JobQueue:
                  cache_hit: bool) -> None:
         """Record a running job's outcome (``done`` or ``failed``)."""
         with self._cond:
-            job.result = result
-            job.cache_hit = cache_hit
-            job.advance(FAILED if isinstance(result, FailedRun) else DONE)
+            self._finish(job, result, cache_hit)
             self._active_by_key.pop(job.key, None)
             self._cond.notify_all()
+
+    @staticmethod
+    def _finish(job: Job, result: SimStats | FailedRun,
+                cache_hit: bool) -> None:
+        job.result = result
+        job.cache_hit = cache_hit
+        job.advance(FAILED if isinstance(result, FailedRun) else DONE)
 
     # --- client side -------------------------------------------------------
     def get(self, job_id: str) -> Job:

@@ -3,7 +3,9 @@
 :class:`SimulationService` owns the whole job lifecycle:
 
 * admission through the bounded, coalescing
-  :class:`~repro.serve.queue.JobQueue` (full queue -> 429 upstream),
+  :class:`~repro.serve.queue.JobQueue` (full queue -> 429 upstream);
+  a cell the run cache already holds is answered at admission, already
+  terminal, without a queue slot, a journal entry or a worker,
 * an execution backend — either the classic pool of worker *threads*
   (each running one cell at a time through the sweep layer's
   single-cell seam, :func:`repro.sweep.execute_cell`) or, the default
@@ -165,6 +167,11 @@ class SimulationService:
                 "shipped to worker processes"
             )
         self.cache = cache
+        if cache is not None:
+            # Admission probes and thread workers share this instance;
+            # the hook counts each quarantine once, whichever thread
+            # found it.
+            cache.on_quarantine = self.note_cache_quarantined
         self.journal = journal
         self.verbose = verbose
         self.worker_mode = worker_mode
@@ -184,7 +191,8 @@ class SimulationService:
         registry = MetricsRegistry()
         self.registry = registry
         self._m_submitted = registry.counter(
-            "serve.jobs_submitted", "jobs admitted to the queue")
+            "serve.jobs_submitted",
+            "fresh admissions (queued, or answered from the run cache)")
         self._m_coalesced = registry.counter(
             "serve.jobs_coalesced",
             "submissions answered by an already-active identical job")
@@ -301,6 +309,13 @@ class SimulationService:
         """
         if self.journal is not None:
             self.journal.forget(job.id)
+        self._record_outcome(job, result, cache_hit, worker)
+        self.queue.complete(job, result, cache_hit)
+
+    def _record_outcome(self, job: Job, result, cache_hit: bool,
+                        worker: int | None = None) -> None:
+        """Count, log and trace one job's outcome (every terminal
+        ``done``/``failed`` path, admission hits included)."""
         cache = "hit" if cache_hit else "miss"
         if isinstance(result, FailedRun):
             self._m_failed.inc()
@@ -319,7 +334,6 @@ class SimulationService:
                     attempt=job.attempts, cache=cache, state=state)
         if self.tracer is not None:
             self.tracer.job_terminal(job.id, job.seq, state, cache=cache)
-        self.queue.complete(job, result, cache_hit)
 
     def quarantine_job(self, job: Job, attempts: int,
                        crash: WorkerCrashError) -> None:
@@ -355,7 +369,7 @@ class SimulationService:
         if self.tracer is not None:
             self.tracer.job_requeued(job.id, job.seq)
 
-    def note_cache_quarantined(self, count: int) -> None:
+    def note_cache_quarantined(self, count: int = 1) -> None:
         if count:
             self._m_cache_quarantined.inc(count)
 
@@ -363,14 +377,23 @@ class SimulationService:
     def submit(self, cell: SweepCell) -> tuple[Job, bool]:
         """Admit one validated cell; returns ``(job, coalesced)``.
 
-        Journals before acknowledging (write-ahead), so an accepted job
-        survives a crash between the 202 and its execution.
+        A cell the run cache already holds is answered here: the job is
+        admitted terminal and never queued, journaled or leased.  Any
+        other job is journaled before acknowledging (write-ahead), so an
+        accepted job survives a crash between the 202 and its execution.
         """
+        cached = self.cache.load(cell.cache_key()) \
+            if self.cache is not None else None
         try:
-            job, coalesced = self.queue.submit(cell)
+            job, coalesced = self.queue.submit(cell, cached=cached)
         except QueueFullError:
             self._m_rejected.inc()
             raise
+        if cached is not None:
+            self._m_submitted.inc()
+            self._event("submitted", job)
+            self._record_outcome(job, cached, cache_hit=True)
+            return job, False
         if coalesced:
             self._m_coalesced.inc()
             self._event("coalesced", job, attempt=job.attempts)

@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from ..errors import ReproError
 from ..stats import FailedRun, SimStats
@@ -63,6 +64,10 @@ class RunCache:
     — corrupt/truncated entries moved aside by :meth:`load`.  All three
     reset with the instance, not the directory, so two CLI invocations
     sharing one cache directory each report their own counts.
+
+    ``on_quarantine``, when set, is called once per quarantined entry
+    from the thread that found it, so an owner shared by many threads
+    can count quarantines without diffing :attr:`quarantined`.
     """
 
     def __init__(self, root: str | Path = DEFAULT_CACHE_DIR) -> None:
@@ -70,6 +75,7 @@ class RunCache:
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
+        self.on_quarantine: Callable[[], None] | None = None
 
     def path_for(self, key: str) -> Path:
         """Cache file for one cell key (two-character fan-out dirs)."""
@@ -101,6 +107,8 @@ class RunCache:
                 pass
         print(f"[cache] quarantined corrupt entry {key[:12]}…: {reason}",
               file=sys.stderr)
+        if self.on_quarantine is not None:
+            self.on_quarantine()
 
     def load(self, key: str) -> SimStats | FailedRun | None:
         """The cached result for ``key``, or None on any miss.

@@ -373,6 +373,10 @@ class FakeShardServer:
         self._check()
         return {}
 
+    def close(self):
+        """Nothing to close: the coordinator closes a dead shard's
+        client."""
+
 
 class FakeCluster:
     """A coordinator wired to fake shards via client_factory."""

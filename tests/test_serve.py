@@ -44,6 +44,7 @@ from repro.serve import (
     SimulationService,
 )
 from repro.serve.api import MAX_RESULT_WAIT, build_cell
+from repro.serve.events import ServeEventLog
 from repro.serve.queue import CANCELLED, DONE, FAILED, QUEUED, RUNNING
 from repro.stats import FailedRun, SimStats
 from repro.sweep import RunCache, SweepCell, execute_cell
@@ -325,6 +326,21 @@ class TestJobQueue:
         closed.close()
         closed.requeue(held)  # crash during drain: still journaled-able
         assert held.state == QUEUED and held in closed.pending()
+
+    def test_cached_admission_is_terminal_outside_the_bound(self):
+        queue = JobQueue(capacity=1)
+        active, _ = queue.submit(cell(1))  # fills the single slot
+        hit, coalesced = queue.submit(cell(1), cached=SimStats())
+        assert not coalesced and hit is not active
+        assert hit.state == DONE and hit.cache_hit is True
+        failed, _ = queue.submit(
+            cell(2), cached=FailedRun("hotspot", "ReproError", "boom"))
+        assert failed.state == FAILED and failed.cache_hit is True
+        assert queue.pending() == [active]
+        assert queue.await_terminal(hit.id, 0.0) is hit
+        queue.close()
+        with pytest.raises(DrainingError):
+            queue.submit(cell(3), cached=SimStats())
 
 
 class TestJournal:
@@ -971,6 +987,313 @@ class TestServiceUnit:
         service.drain(timeout=30)
 
 
+class StoringRunner(GatedRunner):
+    """A gated runner that stores its canned result in ``cache``, as a
+    real execution would, and records every cell that reached it."""
+
+    def __init__(self, cache):
+        super().__init__()
+        self.cache = cache
+        self.keys = []
+
+    def __call__(self, target):
+        result, _ = super().__call__(target)
+        self.keys.append(target.cache_key())
+        self.cache.store(target.cache_key(), target, result)
+        return result, False
+
+
+@pytest.fixture()
+def admission_service(tmp_path):
+    """A thread-mode service with a run cache, a journal and an event
+    log, behind a real HTTP server."""
+    cache = RunCache(tmp_path / "cache")
+    runner = StoringRunner(cache)
+    journal = JobJournal(tmp_path / "journal")
+    service = SimulationService(
+        jobs=1, queue_limit=1, cache=cache, journal=journal,
+        runner=runner, events=ServeEventLog(tmp_path / "events"))
+    service.start()
+    server = ServiceServer(service, port=0)
+    server.start_background()
+    client = ServeClient(port=server.port, timeout=10.0,
+                         backpressure_retries=0)
+    try:
+        yield service, runner, client
+    finally:
+        runner.release()
+        client.close()
+        server.shutdown(timeout=30)
+        server.close()
+
+
+def job_event_kinds(service, job_id):
+    return [event["kind"] for event in ServeEventLog.read(
+        service.events.root) if event.get("job") == job_id]
+
+
+class TestAdmissionHits:
+    """A cell the run cache holds is answered at admission."""
+
+    def test_repeat_is_done_at_admission_and_never_reaches_the_runner(
+            self, admission_service):
+        service, runner, client = admission_service
+        runner.release()
+        target = cell(1)
+        first = client.submit(target.workload_spec,
+                              config=target.config.to_dict())
+        assert client.wait(first["id"])["cache_hit"] is False
+
+        repeat = client.submit(target.workload_spec,
+                               config=target.config.to_dict())
+        assert repeat["state"] == "done"
+        assert repeat["cache_hit"] is True
+        assert repeat["coalesced"] is False
+        assert runner.keys == [target.cache_key()]
+        assert job_event_kinds(service, repeat["id"]) == \
+            ["submitted", "cache_hit", "terminal"]
+        assert not service.journal.path_for(repeat["id"]).exists()
+        assert service.journal.load() == []
+        outcome = client.result(repeat["id"])
+        assert ServeClient.decode_result(outcome) == SimStats()
+
+        metrics = client.metrics()
+        assert metrics["serve.jobs_submitted"] == 2
+        assert metrics["serve.jobs_done"] == 2
+        assert metrics["serve.cache_hits"] == 1
+        assert metrics["serve.cache_misses"] == 1
+        assert metrics["serve.service_latency_ns_count"] == 2
+
+    def test_full_queue_refuses_a_miss_but_not_a_hit(
+            self, admission_service):
+        service, runner, client = admission_service
+        cached = cell(5)
+        service.cache.store(cached.cache_key(), cached, SimStats())
+        held = client.submit(cell(1).workload_spec,
+                             config=cell(1).config.to_dict())
+        assert runner.started.wait(30)  # the one worker holds `held`
+        client.submit(cell(2).workload_spec,
+                      config=cell(2).config.to_dict())  # fills the queue
+        with pytest.raises(BackpressureError):
+            client.submit(cell(3).workload_spec,
+                          config=cell(3).config.to_dict())
+        hit = client.submit(cached.workload_spec,
+                            config=cached.config.to_dict())
+        assert hit["state"] == "done" and hit["cache_hit"] is True
+        assert service.queue.get(held["id"]).state == RUNNING
+        assert service.registry.get(
+            "serve.jobs_rejected_backpressure").value == 1
+
+    def test_draining_refuses_a_hit_with_503(self, admission_service):
+        service, runner, client = admission_service
+        cached = cell(5)
+        service.cache.store(cached.cache_key(), cached, SimStats())
+        runner.release()
+        service.drain(timeout=30)
+        with pytest.raises(ServeClientError) as excinfo:
+            client.submit(cached.workload_spec,
+                          config=cached.config.to_dict())
+        assert excinfo.value.status == 503
+
+
+class TestCacheQuarantineCounting:
+    """Quarantines of the service's own run cache are counted whether
+    admission or a worker thread found the torn entry."""
+
+    def test_thread_workers_and_admission_count_quarantines(
+            self, tmp_path, monkeypatch):
+        held, torn = cell(1), cell(2)
+        started, gate = threading.Event(), threading.Event()
+
+        def local_runner(target):
+            if target == held:
+                started.set()
+                assert gate.wait(30), "test gate never released"
+            return SimStats()
+
+        monkeypatch.setattr("repro.sweep.executor._default_local_runner",
+                            local_runner)
+        cache = RunCache(tmp_path / "cache")
+        service = SimulationService(jobs=1, cache=cache)
+        quarantined = service.registry.get(
+            "serve.cache_entries_quarantined")
+        service.start()
+        try:
+            service.submit(held)
+            assert started.wait(30)
+            # Queued before its entry tore: the worker finds it torn.
+            job, _ = service.submit(torn)
+            cache.path_for(torn.cache_key()).parent.mkdir(parents=True,
+                                                          exist_ok=True)
+            cache.path_for(torn.cache_key()).write_text('{"format": 1')
+            gate.set()
+            assert job.wait(30) and job.cache_hit is False
+            assert cache.quarantined == 1
+            assert quarantined.value == 1
+
+            # Torn again after the re-store: admission finds it.
+            cache.path_for(torn.cache_key()).write_text('{"format": 1')
+            again, _ = service.submit(torn)
+            assert again.wait(30) and again.cache_hit is False
+            assert cache.quarantined == 2
+            assert quarantined.value == 2
+        finally:
+            gate.set()
+            service.drain(timeout=30)
+
+
+class _AcceptCounter:
+    """Records every connection a :class:`ServiceServer` accepts."""
+
+    def __init__(self, server):
+        self.sockets = []
+        original = server.httpd.process_request
+
+        def counting(request, client_address):
+            self.sockets.append(request)
+            original(request, client_address)
+
+        server.httpd.process_request = counting
+
+
+@pytest.fixture()
+def keepalive_server():
+    runner = GatedRunner()
+    runner.release()
+    service = SimulationService(jobs=1, runner=runner)
+    service.start()
+    server = ServiceServer(service, port=0)
+    accepted = _AcceptCounter(server)
+    server.start_background()
+    client = ServeClient(port=server.port, timeout=10.0)
+    try:
+        yield client, accepted
+    finally:
+        client.close()
+        server.shutdown(timeout=30)
+        server.close()
+
+
+def _nodelay(sock) -> int:
+    import socket
+
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+class TestKeepAlive:
+    """ServeClient keeps one connection per calling thread."""
+
+    def test_sequential_requests_share_one_connection(
+            self, keepalive_server):
+        client, accepted = keepalive_server
+        for _ in range(5):
+            assert client.healthz()["status"] == "ok"
+        job = client.submit(cell(1).workload_spec,
+                            config=cell(1).config.to_dict())
+        client.wait(job["id"])
+        assert len(accepted.sockets) == 1
+
+    def test_each_thread_gets_its_own_connection(self, keepalive_server):
+        """More threads than cores share one client under a short
+        switch interval: each still opens exactly one connection."""
+        client, accepted = keepalive_server
+        threads_count = 8
+        barrier = threading.Barrier(threads_count)
+        answers = []
+
+        def calls():
+            answers.append(client.healthz()["status"])
+            barrier.wait(10)  # every connection open at once
+            for _ in range(4):
+                answers.append(client.healthz()["status"])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=calls)
+                       for _ in range(threads_count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == ["ok"] * (5 * threads_count)
+        assert len(accepted.sockets) == threads_count
+
+    def test_tcp_nodelay_on_both_ends(self, keepalive_server):
+        client, accepted = keepalive_server
+        client.healthz()
+        connection = client._connections[threading.current_thread()]
+        assert _nodelay(connection.sock)
+        assert _nodelay(accepted.sockets[0])
+
+    def test_reconnects_after_the_server_closes_an_idle_connection(
+            self, keepalive_server):
+        import select
+        import socket
+
+        client, accepted = keepalive_server
+        client.healthz()
+        accepted.sockets[0].shutdown(socket.SHUT_RDWR)
+        connection = client._connections[threading.current_thread()]
+        readable, _, _ = select.select([connection.sock], [], [], 10)
+        assert readable  # the server's FIN has arrived
+        assert client.healthz()["status"] == "ok"
+        assert len(accepted.sockets) == 2
+
+    def test_post_with_a_status_line_is_never_resent(self):
+        """The second POST on a kept-alive connection gets a status line
+        and then a cut body: it fails without being sent again."""
+        import http.client
+        import socket
+
+        posts = []
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = listener.accept()
+            reader = conn.makefile("rb")
+            while True:
+                request_line = reader.readline()
+                if not request_line:
+                    break
+                length = 0
+                while (line := reader.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.decode().partition(":")
+                    if name.lower() == "content-length":
+                        length = int(value)
+                reader.read(length)
+                posts.append(request_line)
+                body = b'{"id": "j1", "state": "queued"}'
+                if len(posts) == 1:
+                    conn.sendall(b"HTTP/1.1 202 Accepted\r\n"
+                                 b"Content-Length: %d\r\n\r\n%s"
+                                 % (len(body), body))
+                else:
+                    conn.sendall(b"HTTP/1.1 202 Accepted\r\n"
+                                 b"Content-Length: %d\r\n\r\n%s"
+                                 % (len(body), body[:5]))
+                    break
+            reader.close()
+            conn.close()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        client = ServeClient(port=listener.getsockname()[1], timeout=10.0,
+                             connect_retries=3, connect_backoff=0.0)
+        try:
+            assert client.submit("hotspot")["id"] == "j1"
+            with pytest.raises(http.client.IncompleteRead):
+                client.submit("hotspot")
+            thread.join(10)
+            assert len(posts) == 2
+        finally:
+            client.close()
+            listener.close()
+
+
 @pytest.fixture()
 def http_service(tmp_path):
     """A gated-runner service behind a real HTTP server."""
@@ -1470,7 +1793,9 @@ class TestDaemonCli:
             time.sleep(0.05)
         raise AssertionError("daemon never announced its port")
 
-    def test_submit_parity_cache_hit_and_sigterm_drain(self, tmp_path):
+    def boot(self, tmp_path):
+        """``repro serve`` with two worker processes; returns
+        ``(daemon, log_path)``."""
         log_path = tmp_path / "serve.err"
         with open(log_path, "w") as log:
             daemon = subprocess.Popen(
@@ -1478,6 +1803,40 @@ class TestDaemonCli:
                  "--jobs", "2", "--cache-dir", str(tmp_path / "cache"),
                  "--journal-dir", str(tmp_path / "journal")],
                 env=self.ENV, stdout=subprocess.DEVNULL, stderr=log)
+        return daemon, log_path
+
+    def test_repeat_is_answered_at_admission_without_a_lease(
+            self, tmp_path):
+        daemon, log_path = self.boot(tmp_path)
+        try:
+            client = ServeClient(port=self.await_port(log_path, daemon),
+                                 timeout=60.0)
+            target = cell(0)
+
+            def leases():
+                return sum(value for name, value in
+                           client.metrics().items()
+                           if name.startswith("serve.worker.leases"))
+
+            first = client.submit(target.workload_spec,
+                                  config=target.config.to_dict())
+            assert client.wait(first["id"], timeout=120)["state"] == "done"
+            leased = leases()
+            assert leased == 1
+            repeat = client.submit(target.workload_spec,
+                                   config=target.config.to_dict())
+            assert repeat["state"] == "done" and repeat["cache_hit"]
+            assert leases() == leased
+            local, _ = execute_cell(target)
+            assert ServeClient.decode_result(
+                client.result(repeat["id"])) == local
+            client.close()
+        finally:
+            daemon.send_signal(signal.SIGTERM)
+            daemon.wait(timeout=60)
+
+    def test_submit_parity_cache_hit_and_sigterm_drain(self, tmp_path):
+        daemon, log_path = self.boot(tmp_path)
         try:
             port = self.await_port(log_path, daemon)
             local = self.repro("run", *self.FLAGS, "--json")
